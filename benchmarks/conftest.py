@@ -2,9 +2,10 @@
 
 Each ``bench_*`` module regenerates one artifact of the paper (figure or
 table), printing the same rows/series the paper reports and asserting the
-qualitative shape checks of DESIGN.md §2. Numeric results are also dumped
-to ``benchmarks/results/*.json`` so EXPERIMENTS.md can reference the last
-measured values.
+qualitative shape checks its experiment module records
+(``ExperimentResult.checks`` in ``repro.experiments``). Numeric results are
+also dumped to ``benchmarks/results/*.json``, which keeps the last
+measured values of every artifact.
 
 Every run additionally writes one machine-readable *trajectory* file per
 bench module — ``benchmarks/BENCH_<module>.json`` (``bench_campaign.py``

@@ -160,6 +160,8 @@ class SpoolBackend(ExecutionBackend):
         self.stall_timeout_s = stall_timeout_s
         self.use_session = use_session
         self._procs: list[subprocess.Popen] = []
+        #: Autospawned workers not yet seen publishing stats: id -> process.
+        self._unpublished: dict[str, subprocess.Popen] = {}
         self._spawned = 0
         self._closed = False
         # The enqueuing side's telemetry stream: its lease-expiry sweeps
@@ -221,11 +223,37 @@ class SpoolBackend(ExecutionBackend):
         log_path = self.spool.workers_dir / f"{worker_id}.log"
         log_path.parent.mkdir(parents=True, exist_ok=True)
         with open(log_path, "ab") as log:
-            self._procs.append(
-                subprocess.Popen(
-                    command, env=env, stdout=log, stderr=subprocess.STDOUT
-                )
+            proc = subprocess.Popen(
+                command, env=env, stdout=log, stderr=subprocess.STDOUT
             )
+        self._procs.append(proc)
+        self._unpublished[worker_id] = proc
+
+    def _await_worker_stats(self) -> None:
+        """Wait until every autospawned worker published its stats or exited.
+
+        Workers publish before their first claim, but a fast drain can
+        finish before a slow-starting worker gets there; callers reading
+        ``worker_stats()`` after ``run`` must still see every worker.
+        Bounded by the stall timeout; usually free, since the wait
+        overlaps the drain.
+        """
+        deadline = (
+            None if self.stall_timeout_s is None
+            else time.monotonic() + self.stall_timeout_s
+        )
+        while self._unpublished:
+            self._unpublished = {
+                worker: proc
+                for worker, proc in self._unpublished.items()
+                if proc.poll() is None
+                and not (self.spool.workers_dir / f"{worker}.json").exists()
+            }
+            if not self._unpublished or (
+                deadline is not None and time.monotonic() > deadline
+            ):
+                return
+            time.sleep(self.poll_s)
 
     def _supervise(self, unresolved: bool) -> int:
         """Reap dead autospawned workers; respawn while work remains.
@@ -331,6 +359,7 @@ class SpoolBackend(ExecutionBackend):
                                       resolved[key])
                 break
             time.sleep(self.poll_s)
+        self._await_worker_stats()
         return [resolved[job.key()] for job in jobs]
 
     # -- lifecycle --------------------------------------------------------

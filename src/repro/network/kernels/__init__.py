@@ -1,28 +1,25 @@
-"""Cycle kernels: interchangeable per-cycle execution strategies.
+"""Cycle kernels: two interchangeable executions of one cycle semantics.
 
-Selection (:func:`create_kernel`):
+* ``reference`` — the object-based oracle, always available and always a
+  batch of one (:mod:`~repro.network.kernels.reference`).
+* ``vector`` — the job-batched numpy kernel
+  (:mod:`~repro.network.kernels.vector`): it advances one or more
+  simulations that share a compiled route table in lockstep, as one
+  disjoint-union network. Needs numpy and compiled routes.
 
-* ``"reference"`` — always available; object-based ground truth.
-* ``"vector"`` — numpy struct-of-arrays execution; requires numpy and a
-  compiled route table. When the algorithm is compilable but the
-  simulator was built without routes, a table is compiled on the spot;
-  when the algorithm cannot be compiled at all, the request falls back
-  to ``reference`` and the reason is recorded on the simulator.
-* ``"auto"`` — honours the ``DEFT_KERNEL`` environment variable if set
-  (for external fleets where plumbing a flag is impractical), otherwise
-  picks ``vector`` exactly when numpy is importable and compiled routes
-  are in play, else ``reference``.
-
-Precedence across the stack: ``--kernel`` CLI flag > per-job ``kernel``
-field > ``DEFT_KERNEL`` env > auto heuristic. The CLI flag simply
-rewrites the job field, and the env var only applies to jobs that reach
-the simulator still saying ``auto``.
+:func:`select_kernel` resolves a request. ``"auto"`` honours the
+``DEFT_KERNEL`` environment variable if set, otherwise picks ``vector``
+exactly when numpy is importable and compiled routes are in play. An
+explicit ``vector`` request compiles routes on the spot when the
+algorithm allows it, and falls back to ``reference`` (with the reason
+recorded on the simulator) when it does not. Precedence across the
+stack: ``--kernel`` flag > ``Job.kernel`` > ``DEFT_KERNEL`` > auto.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ...errors import ConfigurationError
 from .base import CycleKernel
@@ -36,8 +33,9 @@ __all__ = [
     "ReferenceKernel",
     "KERNEL_ENV",
     "KERNEL_NAMES",
-    "create_kernel",
+    "build_kernel",
     "numpy_available",
+    "select_kernel",
 ]
 
 #: Environment variable consulted by ``auto`` selection.
@@ -55,15 +53,11 @@ def numpy_available() -> bool:
     return True
 
 
-def create_kernel(
-    sim: "Simulator", requested: str
-) -> tuple[CycleKernel, str | None]:
-    """Instantiate the kernel for ``requested``; returns (kernel, fallback).
+def select_kernel(sim: "Simulator", requested: str) -> tuple[str, str | None]:
+    """Resolve ``requested`` for ``sim``: (kernel name, fallback reason).
 
-    ``fallback`` is a human-readable reason when a ``vector`` request had
-    to be served by ``reference``, else None. May compile (and assign)
-    ``sim.routes`` when an explicit ``vector`` request arrives without a
-    route table.
+    May compile (and assign) ``sim.routes`` when an explicit ``vector``
+    request arrives without a route table.
     """
     if requested not in KERNEL_NAMES:
         raise ConfigurationError(
@@ -71,31 +65,33 @@ def create_kernel(
         )
     name = requested
     if name == "auto":
-        env = os.environ.get(KERNEL_ENV)
-        if env:
-            if env not in KERNEL_NAMES:
-                raise ConfigurationError(
-                    f"{KERNEL_ENV}={env!r} is not one of {KERNEL_NAMES}"
-                )
-            name = env
+        name = os.environ.get(KERNEL_ENV) or "auto"
+        if name not in KERNEL_NAMES:
+            raise ConfigurationError(f"{KERNEL_ENV}={name!r} is not one of {KERNEL_NAMES}")
     if name == "auto":
-        name = "vector" if numpy_available() and sim.routes is not None else "reference"
+        auto = "vector" if numpy_available() and sim.routes is not None else "reference"
+        return auto, None
     if name == "reference":
-        return ReferenceKernel(sim), None
-    # -- vector ---------------------------------------------------------
+        return name, None
     if not numpy_available():
-        raise ConfigurationError(
-            "kernel 'vector' requires numpy, which is not importable"
-        )
+        raise ConfigurationError("kernel 'vector' requires numpy, which is not importable")
     if sim.routes is None:
         if not sim.algorithm.compilable:
-            return ReferenceKernel(sim), (
+            return "reference", (
                 f"vector kernel needs a compiled route table and algorithm "
                 f"{sim.algorithm.name!r} is not compilable"
             )
         from ...routing.compiled import compile_routes
 
         sim.routes = compile_routes(sim.algorithm)
+    return name, None
+
+
+def build_kernel(name: str, sims: Sequence["Simulator"]) -> CycleKernel:
+    """Instantiate kernel ``name`` (as resolved by :func:`select_kernel`)
+    over a batch of simulators."""
+    if name == "reference":
+        return ReferenceKernel(sims)
     from .vector import VectorKernel
 
-    return VectorKernel(sim), None
+    return VectorKernel(sims)

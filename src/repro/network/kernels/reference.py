@@ -1,18 +1,14 @@
 """The object-based reference cycle kernel (semantic ground truth).
 
-This is the pre-refactor ``Simulator._step`` pipeline ported onto
-:class:`~repro.network.state.SimState`, with one deliberate semantic
-tightening: every iteration that used to follow Python *set* order
-(active routers, active input VCs, busy NICs) is **canonicalized to
-sorted order**, and router processing is split into two global phases —
-first route-compute/VC-allocate for every router, then switch-allocate/
-send for every router. Within one cycle nothing a router's send phase
-mutates is read by another router's plan phase (transfers and credits
-are staged, per-router state is per-router), so the phase split changes
-results only through the canonical ordering itself. A deterministic,
-specification-friendly order is what makes an independent numpy kernel
-able to reproduce the run bit-for-bit — set iteration order is not a
-semantics anyone can re-implement.
+The pre-refactor ``Simulator._step`` pipeline ported onto
+:class:`~repro.network.state.SimState`, always a batch of one. Every
+iteration that used to follow Python *set* order (active routers, active
+input VCs, busy NICs) is **canonicalized to sorted order**, and router
+processing is split into two global phases — route-compute/VC-allocate
+for every router, then switch-allocate/send for every router (nothing a
+send phase mutates is read by another router's plan phase). That
+deterministic order is what lets the numpy kernel reproduce a run bit
+for bit.
 
 Per-cycle phases (unchanged from the original engine):
 
@@ -36,7 +32,8 @@ in flight but nothing has moved for ``watchdog_cycles``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import functools
+from typing import TYPE_CHECKING, Sequence
 
 from ...errors import DeadlockError, UnroutablePacketError
 from ...fault.model import VLDirection
@@ -56,14 +53,19 @@ class ReferenceKernel(CycleKernel):
 
     name = "reference"
 
-    def __init__(self, sim: "Simulator"):
-        super().__init__(sim)
+    def __init__(self, sims: Sequence["Simulator"]):
+        super().__init__(sims)
+        (sim,) = self.sims  # always a batch of one
         self.system = sim.system
         self.algorithm = sim.algorithm
         self.traffic = sim.traffic
         self.config = sim.config
         self.stats = sim.stats
-        self._route = sim.routes.route if sim.routes is not None else sim.algorithm.route
+        self._route = (
+            functools.partial(sim.routes.route, algorithm=sim.algorithm)
+            if sim.routes is not None
+            else sim.algorithm.route
+        )
         self._num_vcs = sim.config.num_vcs
         self._depth = sim.config.buffer_depth
         self._vn_vcs = partition_vcs(self._num_vcs)
@@ -77,29 +79,19 @@ class ReferenceKernel(CycleKernel):
     def cycle(self) -> int:
         return self.state.cycle
 
-    @property
-    def packet_counter(self) -> int:
-        return self.state.packet_counter
+    # Per-member counters of the batch of one.
+    packet_counter = property(lambda self: [self.state.packet_counter])
+    flits_in_flight = property(lambda self: [self.state.flits_in_flight])
+    last_progress = property(lambda self: [self.state.last_progress])
+    measured_outstanding = property(lambda self: [self.state.measured_outstanding])
 
-    @property
-    def flits_in_flight(self) -> int:
-        return self.state.flits_in_flight
-
-    @property
-    def last_progress(self) -> int:
-        return self.state.last_progress
-
-    @property
-    def measured_outstanding(self) -> int:
-        return self.state.measured_outstanding
-
-    def router_states(self) -> list["RouterView"]:
+    def router_states(self, member: int = 0) -> list["RouterView"]:
         return self.state.router_views()
 
-    def nic_states(self) -> list[Nic]:
+    def nic_states(self, member: int = 0) -> list[Nic]:
         return self.state.nics
 
-    def snapshot(self) -> tuple:
+    def snapshot(self, member: int = 0) -> tuple:
         return snapshot_state(self.state, self.stats)
 
     def is_idle(self) -> bool:

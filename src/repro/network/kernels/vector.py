@@ -1,48 +1,46 @@
-"""The numpy struct-of-arrays cycle kernel.
+"""The job-batched numpy struct-of-arrays cycle kernel.
 
 Same semantics as :mod:`repro.network.kernels.reference`, executed as
-array sweeps. The kernel keeps a numeric mirror of the simulation state
-— one flat *channel* axis indexes every input VC of every router
-(``channel = (router * NUM_PORTS + port) * num_vcs + vc``), so ascending
-channel order *is* the reference kernel's canonical ``(router, port,
-vc)`` order — plus integer registries for packets and flits (a flit is
-``first_fid[packet] + seq``). Per cycle:
+array sweeps over a batch of N simulations that share one compiled route
+table (same system, algorithm, fault state and config; traffic may
+differ). The batch is one disjoint-union network — member ``m``'s router
+``r`` is global router ``m * R + r`` — so one numpy pass covers ``N * R``
+routers and the per-cycle numpy overhead, which dominates on the paper's
+128/192-router systems, is paid once per batch. A batch of one is the
+solo kernel.
 
-* **Plan** — gather the front flit of every occupied channel; fresh
-  heads get their route decision from the compiled table's dense view
-  (:meth:`~repro.routing.compiled.CompiledRoutes.dense_table`) in one
-  ``searchsorted`` batch. Hops the algorithm flags as stateful (via
-  :meth:`~repro.routing.base.RoutingAlgorithm.stateful_boundary_router`),
-  unbound-VL hops and dense misses fall back to live Python dispatch,
-  in ascending channel order — exactly the call sequence the reference
-  kernel would make, so RNGs, round-robins and load counters advance
-  identically. Output-VC allocation pre-filters hopeless channels
-  vectorially, then first-fits the rest in canonical order.
-* **Serve** — switch allocation is a grouped segmented argmin: requests
-  are sorted by (router, out port), each group's service round comes
-  from the per-router rotation, and each round's winners are the
-  arbitration-key minima per group (keys are distinct within a router,
-  so winners are unambiguous). Winning transfers pop, debit credits,
-  stage arrivals and return credits entirely as array ops; ejections
-  and RC-buffer traffic (rare, hook-bearing) stay in Python, sorted by
-  router id.
+One flat *channel* axis indexes every input VC of every router
+(``channel = (router * NUM_PORTS + port) * num_vcs + vc``), so ascending
+channel order is member order, then the reference kernel's canonical
+``(router, port, vc)`` order. Member ``m``'s packet ``i`` is registry
+entry ``i * N + m``; its flit ``seq`` is flit id ``entry * packet_size +
+seq``. Per cycle:
+
+* **Plan** — fresh heads get their route decision from the dense view of
+  the compiled table (one ``searchsorted`` batch); stateful hops, unbound
+  VLs and dense misses fall back to live dispatch on the member's own
+  algorithm copy, in ascending channel order — each member's reference
+  call sequence, so RNGs, round-robins and load counters advance
+  identically. Output-VC allocation pre-filters hopeless channels, then
+  first-fits the rest in canonical order.
+* **Serve** — switch allocation is a grouped segmented argmin over
+  requests sorted by (router, out port); winning transfers pop, debit
+  credits, stage arrivals and return credits as array ops. Ejections and
+  RC-buffer traffic (rare, hook-bearing) stay in Python, by router id.
 * **Commit** — staged arrivals/credits land via flat index adds.
 
-Statistics accumulate into small shadow arrays during the sweep and are
-folded into the shared :class:`~repro.network.stats.StatsCollector` at
-the end of *every* step, so ``sim.stats`` is always exact and the
-per-cycle snapshot digests match the reference bit for bit.
-
-``router_states()``/``snapshot()`` materialize an object-based
-:class:`~repro.network.state.SimState` from the arrays on demand
-(memoized until the next step). The views are therefore *copies*:
-reading through ``sim.routers`` is supported everywhere, mutating
-through it is not (nothing in the repository does).
+Each member keeps its own traffic, NICs, stats, run counters, watchdog
+and algorithm runtime state. A retired member's channels, NICs and
+staged events leave the sweeps. Statistics accumulate in shadow arrays
+folded into the members' collectors at observation points.
+``router_states()``/``snapshot()`` materialize one member's object-based
+:class:`~repro.network.state.SimState` on demand — a *copy*, memoized
+until the next step.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ...errors import DeadlockError, UnroutablePacketError
 from ...fault.model import VLDirection
@@ -51,14 +49,7 @@ from ...routing.compiled import PHASE_TO_DOWN, PHASE_TO_DST, PHASE_TO_UP
 from ...topology.geometry import INTERPOSER_LAYER
 from ..flit import Packet
 from ..nic import Nic
-from ..state import (
-    NUM_PORTS,
-    RC_PORT,
-    RcBuffer,
-    SimState,
-    partition_vcs,
-    snapshot_state,
-)
+from ..state import NUM_PORTS, RC_PORT, RcBuffer, SimState, partition_vcs, snapshot_state
 from .base import CycleKernel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,119 +65,120 @@ _NONE = -2
 #: "VC not allowed" rank in the first-fit walk tables (int16-safe).
 _RANK_INF = 0x7FFF
 
+#: Packet-registry arrays (indexed by registry entry) and their fill value.
+_PKT_FIELDS = (
+    ("pkt_dst", 0),  # member-local router id
+    ("pkt_vn", 0),
+    ("pkt_down", -1),
+    ("pkt_up", -1),
+    ("pkt_boundary", _NONE),
+    ("pkt_needs_rc", False),
+    ("pkt_hops", 0),
+)
+
 
 class VectorKernel(CycleKernel):
     """Array-sweep execution of the cycle semantics (requires numpy)."""
 
     name = "vector"
 
-    def __init__(self, sim: "Simulator"):
-        super().__init__(sim)
+    def __init__(self, sims: Sequence["Simulator"]):
+        super().__init__(sims)
         import numpy as np
 
         self._np = np
-        self.system = sim.system
-        self.algorithm = sim.algorithm
-        self.traffic = sim.traffic
-        self.config = sim.config
-        self.stats = sim.stats
-        assert sim.routes is not None, "vector kernel requires compiled routes"
-        self._routes = sim.routes
-        self._dense = sim.routes.dense_table()
-        self._anchors = sim.routes._anchors
-        self._vn_vcs = partition_vcs(sim.config.num_vcs)
-        self._vl_ser = sim.config.vl_serialization
+        lead = self.sims[0]
+        self.system = lead.system
+        self.config = lead.config
+        self.algos = [sim.algorithm for sim in self.sims]
+        self.traffic = [sim.traffic for sim in self.sims]
+        self.stats = [sim.stats for sim in self.sims]
+        assert lead.routes is not None, "vector kernel requires compiled routes"
+        self._routes = lead.routes
+        self._dense = lead.routes.dense_table()
+        self._anchors = lead.routes._anchors
+        self._vn_vcs = partition_vcs(self.config.num_vcs)
+        self._vl_ser = self.config.vl_serialization
 
-        P = NUM_PORTS
-        V = sim.config.num_vcs
-        D = sim.config.buffer_depth
-        R = len(sim.system.routers)
-        self._P, self._V, self._D, self._R = P, V, D, R
-        self._PV = P * V
-        self._NC = R * P * V
-        self._rr_mod = P * V
+        P, V, D = NUM_PORTS, self.config.num_vcs, self.config.buffer_depth
+        R, N = len(self.system.routers), len(self.sims)
+        self._P, self._V, self._D, self._R, self._N = P, V, D, R, N
+        self._PV = self._rr_mod = P * V
+        self._CPM = R * P * V  # channels per member
+        self._multi = N > 1
 
-        # -- static topology arrays -------------------------------------
-        self.layer_arr = np.array(
-            [r.layer for r in sim.system.routers], dtype=np.int64
-        )
+        # -- static topology arrays (one member, then tiled) -------------
+        layer = np.array([r.layer for r in self.system.routers], dtype=np.int64)
         # (router, out_port) -> destination channel base ((dst*P+in)*V), -1 none
-        self.link_base = np.full(R * P, -1, dtype=np.int64)
+        link = np.full(R * P, -1, dtype=np.int64)
         # (router, in_port) -> upstream channel base to credit, -1 for LOCAL
-        self.upstream_base = np.full(R * P, -1, dtype=np.int64)
-        self.vl_of = np.full(R, -1, dtype=np.int64)
-        self.vl_send_dir = np.zeros(R, dtype=np.int64)
-        self.has_rc = np.zeros(R, dtype=bool)
-        for router in sim.system.routers:
+        upstream = np.full(R * P, -1, dtype=np.int64)
+        vl_of = np.full(R, -1, dtype=np.int64)
+        send_dir = np.zeros(R, dtype=np.int64)
+        for router in self.system.routers:
             rid = router.id
             for direction, neighbor in router.neighbors.items():
                 d = int(direction)
-                dst_in = int(opposite_port(Port(d)))
-                self.link_base[rid * P + d] = (neighbor * P + dst_in) * V
-                self.upstream_base[rid * P + d] = (
-                    neighbor * P + int(opposite_port(Port(d)))
-                ) * V
+                base = (neighbor * P + int(opposite_port(Port(d)))) * V
+                link[rid * P + d] = upstream[rid * P + d] = base
             if router.vertical_neighbor is not None:
-                self.link_base[rid * P + _VERT] = (
-                    router.vertical_neighbor * P + _VERT
-                ) * V
-                self.upstream_base[rid * P + _VERT] = (
-                    router.vertical_neighbor * P + _VERT
-                ) * V
+                base = (router.vertical_neighbor * P + _VERT) * V
+                link[rid * P + _VERT] = upstream[rid * P + _VERT] = base
             if router.vl_index is not None:
-                self.vl_of[rid] = router.vl_index
-            self.vl_send_dir[rid] = int(
+                vl_of[rid] = router.vl_index
+            send_dir[rid] = int(
                 VLDirection.UP if router.is_interposer else VLDirection.DOWN
             )
 
+        def tile(arr, stride):
+            out = np.tile(arr, N)
+            shift = np.repeat(np.arange(N, dtype=np.int64) * stride, arr.size)
+            return np.where(out >= 0, out + shift, -1)
+
+        self.layer_arr = np.tile(layer, N)
+        self.link_base = tile(link, self._CPM)
+        self.upstream_base = tile(upstream, self._CPM)
+        self._nvl = max(len(self.system.vls), 1)
+        self.vl_of = tile(vl_of, self._nvl)
+        self.vl_send_dir = np.tile(send_dir, N)
+        self._regions = int(layer.max()) + 2 if R else 1
+        # router -> row of its member's (layer + 1) in the VC-flit shadow
+        self.region_arr = tile(layer + 1, self._regions)
+
         # -- channel state ----------------------------------------------
-        self.buf = np.zeros((self._NC, D), dtype=np.int64)  # circular fid queues
-        self.bhead = np.zeros(self._NC, dtype=np.int64)
-        self.blen = np.zeros(self._NC, dtype=np.int64)
-        self.chan_active = np.zeros(self._NC, dtype=bool)  # invariant: blen > 0
-        self.credits_arr = np.full(self._NC, D, dtype=np.int64)
-        self.owner_arr = np.full(self._NC, -1, dtype=np.int64)  # packet id
-        self.asg_port = np.full(self._NC, _NONE, dtype=np.int64)  # -1 = RC
-        self.asg_vc = np.zeros(self._NC, dtype=np.int64)
-        self.dec_port = np.full(self._NC, _NONE, dtype=np.int64)
-        self.dec_code = np.zeros(self._NC, dtype=np.int64)
-        self.sa_rr = np.zeros(R, dtype=np.int64)
-        self.vl_next_free = np.zeros(R, dtype=np.int64)
+        NC = N * self._CPM
+        self.buf = np.zeros((NC, D), dtype=np.int64)  # circular fid queues
+        self.bhead = np.zeros(NC, dtype=np.int64)
+        self.blen = np.zeros(NC, dtype=np.int64)
+        self.chan_active = np.zeros(NC, dtype=bool)  # invariant: blen > 0
+        self.credits_arr = np.full(NC, D, dtype=np.int64)
+        self.owner_arr = np.full(NC, -1, dtype=np.int64)  # packet id
+        self.asg_port = np.full(NC, _NONE, dtype=np.int64)  # -1 = RC
+        self.asg_vc = np.zeros(NC, dtype=np.int64)
+        self.dec_port = np.full(NC, _NONE, dtype=np.int64)
+        self.dec_code = np.zeros(NC, dtype=np.int64)
+        self.sa_rr = np.zeros(N * R, dtype=np.int64)
+        self.vl_next_free = np.zeros(N * R, dtype=np.int64)
 
         # -- packet / flit registries ------------------------------------
         self.pkt_objs: list[Packet | None] = []
-        self.pkt_dst = np.zeros(0, dtype=np.int64)
-        self.pkt_vn = np.zeros(0, dtype=np.int64)
-        self.pkt_down = np.zeros(0, dtype=np.int64)
-        self.pkt_up = np.zeros(0, dtype=np.int64)
-        self.pkt_boundary = np.zeros(0, dtype=np.int64)
-        self.pkt_needs_rc = np.zeros(0, dtype=bool)
-        self.pkt_hops = np.zeros(0, dtype=np.int64)
-        self.first_fid = np.zeros(0, dtype=np.int64)
-        self.fid_objs: list = []
-        self.fid_pkt = np.zeros(0, dtype=np.int64)
-        self.fid_head = np.zeros(0, dtype=bool)
-        self.fid_tail = np.zeros(0, dtype=bool)
-        self._nfids = 0
+        for field, fill in _PKT_FIELDS:
+            setattr(self, field, np.full(0, fill))
+        self.pkt_flits: list[list | None] = []  # flit objects once started
+        self._S = self.config.packet_size
 
         # -- objects that stay objects -----------------------------------
-        self.nics = [Nic(r.id) for r in sim.system.routers]
+        self.nics = [Nic(r.id) for _ in range(N) for r in self.system.routers]
         self.rc_buffers: list[RcBuffer | None] = [
-            RcBuffer() if sim.algorithm.uses_rc_buffer(r.id) else None
-            for r in sim.system.routers
+            RcBuffer() if algo.uses_rc_buffer(r.id) else None
+            for algo in self.algos
+            for r in self.system.routers
         ]
-        self._rc_units = [
-            (rid, unit)
-            for rid, unit in enumerate(self.rc_buffers)
-            if unit is not None
-        ]
-        for rid, _ in self._rc_units:
-            self.has_rc[rid] = True
+        self._rc_units = [(r, u) for r, u in enumerate(self.rc_buffers) if u is not None]
+        self.has_rc = np.array([u is not None for u in self.rc_buffers], dtype=bool)
         self.busy_nics: set[int] = set()
-        #: Busy NICs blocked on a full LOCAL channel; skipped by
-        #: `_inject` until `_send_winners` pops a LOCAL input of theirs.
-        #: Always a subset of `busy_nics` — purely an iteration filter,
-        #: never part of snapshots.
+        #: Busy NICs blocked on a full LOCAL channel, skipped by `_inject`
+        #: until `_send_winners` pops a LOCAL input of theirs (never snapshot).
         self.stalled_nics: set[int] = set()
 
         # Staged events, keyed by materialization cycle; values are lists
@@ -194,18 +186,16 @@ class VectorKernel(CycleKernel):
         self.arrivals: dict[int, list] = {}
         self.credit_arrivals: dict[int, list] = {}
 
-        # -- run counters -------------------------------------------------
+        # -- run counters (per member) ------------------------------------
         self.cycle = 0
-        self.packet_counter = 0
-        self.flits_in_flight = 0
-        self.last_progress = 0
-        self.measured_outstanding = 0
+        self.packet_counter = [0] * N
+        self.measured_outstanding = [0] * N
+        self.flits_in_flight = np.zeros(N, dtype=np.int64)
+        self.last_progress = np.zeros(N, dtype=np.int64)
 
-        # -- stats shadows (folded into self.stats every step) ------------
-        n_regions = int(self.layer_arr.max()) + 2 if R else 1
-        self.shadow_vc = np.zeros((n_regions, V), dtype=np.int64)
-        self.shadow_vl = np.zeros((max(len(sim.system.vls), 1), 2), dtype=np.int64)
-        self.shadow_flit_hops = 0
+        # -- stats shadows (folded into the members' stats lazily) --------
+        self.shadow_vc = np.zeros((N * self._regions, V), dtype=np.int64)
+        self.shadow_vl = np.zeros((N * self._nvl, 2), dtype=np.int64)
         self._vc_dirty = False
         self._vl_dirty = False
 
@@ -216,27 +206,27 @@ class VectorKernel(CycleKernel):
         self.code_vnmask = np.zeros((0, V), dtype=bool)
 
         # -- scratch -------------------------------------------------------
-        self._used = np.zeros(R * P, dtype=bool)
+        self._used = np.zeros(N * R * P, dtype=bool)
         self._vcr = np.arange(V, dtype=np.int64)
-        self._mat: SimState | None = None
+        self._mat: dict[int, SimState] = {}
 
         # -- telemetry ----------------------------------------------------
-        self._table_decisions = 0
-        self._live_decisions = 0
+        self._table_decisions = np.zeros(N, dtype=np.int64)
+        self._live_decisions = [0] * N
 
     # ------------------------------------------------------------------
     # engine-facing surface
     # ------------------------------------------------------------------
 
-    def router_states(self) -> list["RouterView"]:
-        return self._materialize().router_views()
+    def router_states(self, member: int) -> list["RouterView"]:
+        return self._materialize(member).router_views()
 
-    def nic_states(self) -> list[Nic]:
-        return self.nics
+    def nic_states(self, member: int) -> list[Nic]:
+        return self.nics[member * self._R : (member + 1) * self._R]
 
-    def snapshot(self) -> tuple:
+    def snapshot(self, member: int) -> tuple:
         self._fold_stats()
-        return snapshot_state(self._materialize(), self.stats)
+        return snapshot_state(self._materialize(member), self.stats[member])
 
     def is_idle(self) -> bool:
         return (
@@ -252,20 +242,48 @@ class VectorKernel(CycleKernel):
     def fast_forward(self, cycle: int) -> None:
         assert cycle > self.cycle
         self.cycle = cycle
-        self._mat = None
+        self._mat.clear()
 
     def finalize(self) -> None:
         self._fold_stats()
 
-    def dispatch_counts(self) -> tuple[int, int]:
-        return (self._table_decisions, self._live_decisions)
+    def dispatch_counts(self, member: int) -> tuple[int, int]:
+        return (int(self._table_decisions[member]), self._live_decisions[member])
+
+    def retire(self, member: int) -> None:
+        """Drop a member's channels, NICs, RC units and staged events from
+        the sweeps. A batch's last member keeps everything, so a solo run
+        ends with exactly the state it stepped to."""
+        super().retire(member)
+        if not self.live:
+            return
+        lo, hi = member * self._CPM, (member + 1) * self._CPM
+        rlo, rhi = member * self._R, (member + 1) * self._R
+        self.chan_active[lo:hi] = False
+        self.busy_nics = {n for n in self.busy_nics if not rlo <= n < rhi}
+        self.stalled_nics &= self.busy_nics
+        self._rc_units = [(r, u) for r, u in self._rc_units if not rlo <= r < rhi]
+
+        def outside(chans):
+            return (chans < lo) | (chans >= hi)
+
+        arrivals = {
+            due: [(dc[k], fid[k]) for dc, fid in batch if (k := outside(dc)).any()]
+            for due, batch in self.arrivals.items()
+        }
+        credits = {
+            due: [idx[k] for idx in batch if (k := outside(idx)).any()]
+            for due, batch in self.credit_arrivals.items()
+        }
+        self.arrivals = {due: batch for due, batch in arrivals.items() if batch}
+        self.credit_arrivals = {due: batch for due, batch in credits.items() if batch}
 
     # ------------------------------------------------------------------
     # per-cycle phases
     # ------------------------------------------------------------------
 
     def step(self, generate: bool) -> None:
-        self._mat = None
+        self._mat.clear()
         if generate:
             self._generate_traffic()
         self._inject()
@@ -275,84 +293,74 @@ class VectorKernel(CycleKernel):
         self._check_watchdog()
         self.cycle += 1
 
+    def _progress(self, chans) -> None:
+        """Stamp this cycle as progress for the members owning ``chans``."""
+        if self._multi:
+            self.last_progress[chans // self._CPM] = self.cycle
+        else:
+            self.last_progress[0] = self.cycle
+
     # -- traffic and injection (cold path, plain Python) -----------------
 
     def _generate_traffic(self) -> None:
-        measured_window = self.cycle >= self.config.warmup_cycles
-        for src, dst in self.traffic.packets_for_cycle(self.cycle):
-            packet = Packet(
-                self.packet_counter, src, dst, self.config.packet_size, self.cycle
-            )
-            self.packet_counter += 1
-            packet.measured = measured_window
-            self.stats.on_packet_created(packet.measured)
-            if packet.measured:
-                self.measured_outstanding += 1
-            self._register_packet(packet)
-            self.nics[src].enqueue(packet)
-            self.busy_nics.add(src)
+        cycle = self.cycle
+        measured = cycle >= self.config.warmup_cycles
+        for m in self.live:
+            base = m * self._R
+            stats = self.stats[m]
+            for src, dst in self.traffic[m].packets_for_cycle(cycle):
+                packet = Packet(self.packet_counter[m], src, dst, self._S, cycle)
+                self.packet_counter[m] += 1
+                packet.measured = measured
+                stats.on_packet_created(measured)
+                if measured:
+                    self.measured_outstanding[m] += 1
+                self._register_packet(packet, m)
+                self.nics[base + src].enqueue(packet)
+                self.busy_nics.add(base + src)
 
-    def _register_packet(self, packet: Packet) -> None:
-        pid = packet.id
-        if pid >= len(self.pkt_dst):
-            self._grow_packets(pid + 1)
-        self.pkt_objs.append(packet)
-        assert len(self.pkt_objs) == pid + 1
-        self.pkt_dst[pid] = packet.dst
+    def _register_packet(self, packet: Packet, m: int) -> None:
+        gid = packet.id * self._N + m
+        if gid >= len(self.pkt_dst):
+            self._grow_packets(gid + 1)
+        if gid >= len(self.pkt_objs):
+            pad = [None] * (gid + 1 - len(self.pkt_objs))
+            self.pkt_objs.extend(pad)
+            self.pkt_flits.extend(pad)
+        self.pkt_objs[gid] = packet
+        self.pkt_dst[gid] = packet.dst
 
     def _grow_packets(self, need: int) -> None:
-        np = self._np
         cap = max(need, 2 * len(self.pkt_dst), 256)
-
-        def grow(arr, fill):
-            out = np.full(cap, fill, dtype=arr.dtype)
-            out[: arr.size] = arr
-            return out
-
-        self.pkt_dst = grow(self.pkt_dst, 0)
-        self.pkt_vn = grow(self.pkt_vn, 0)
-        self.pkt_down = grow(self.pkt_down, -1)
-        self.pkt_up = grow(self.pkt_up, -1)
-        self.pkt_boundary = grow(self.pkt_boundary, _NONE)
-        self.pkt_needs_rc = grow(self.pkt_needs_rc, False)
-        self.pkt_hops = grow(self.pkt_hops, 0)
-        self.first_fid = grow(self.first_fid, -1)
-
-    def _grow_fids(self, need: int) -> None:
-        np = self._np
-        cap = max(need, 2 * len(self.fid_pkt), 1024)
-
-        def grow(arr, fill):
-            out = np.full(cap, fill, dtype=arr.dtype)
-            out[: arr.size] = arr
-            return out
-
-        self.fid_pkt = grow(self.fid_pkt, 0)
-        self.fid_head = grow(self.fid_head, False)
-        self.fid_tail = grow(self.fid_tail, False)
+        for field, fill in _PKT_FIELDS:
+            old = getattr(self, field)
+            new = self._np.full(cap, fill)
+            new[: old.size] = old
+            setattr(self, field, new)
 
     def _inject(self) -> None:
         np = self._np
         stalled = self.stalled_nics
         done: list[int] = []
-        cand: list[Nic] = []
+        cand: list[int] = []
         cand_c: list[int] = []
         cand_pid: list[int] = []
         cand_seq: list[int] = []
-        P, V = self._P, self._V
+        P, V, R, N = self._P, self._V, self._R, self._N
         # Stalled NICs (backpressured on a full LOCAL channel) cannot
         # change until `_send_winners` pops one of their channels; drop
         # them before the sort — under saturation they are the majority.
         for nid in sorted(self.busy_nics - stalled):
             nic = self.nics[nid]
+            m = nid // R
             if nic.current_flits is None:
-                if not self._start_next_packet(nic):
+                if not self._start_next_packet(nic, m):
                     if not nic.queue:
                         done.append(nid)
                     continue
-            cand.append(nic)
+            cand.append(nid)
             cand_c.append((nid * P + _LOCAL) * V + nic.inject_vc)
-            cand_pid.append(nic.current_flits[0].packet.id)
+            cand_pid.append(nic.current_flits[0].packet.id * N + m)
             cand_seq.append(nic.current_index)
         if cand:
             # Channels are distinct (one NIC per router), so the batch
@@ -361,36 +369,38 @@ class VectorKernel(CycleKernel):
             lens = self.blen[carr]
             room = lens < self._D
             for i in np.flatnonzero(~room):
-                stalled.add(cand[i].router_id)
+                stalled.add(cand[i])
             ok = np.flatnonzero(room)
             if ok.size:
                 oc = carr[ok]
                 fids = (
-                    self.first_fid[np.array(cand_pid, dtype=np.int64)[ok]]
+                    np.array(cand_pid, dtype=np.int64)[ok] * self._S
                     + np.array(cand_seq, dtype=np.int64)[ok]
                 )
                 self.buf[oc, (self.bhead[oc] + lens[ok]) % self._D] = fids
                 self.blen[oc] += 1
                 self.chan_active[oc] = True
-                self.flits_in_flight += int(ok.size)
-                self.last_progress = self.cycle
+                if self._multi:
+                    np.add.at(self.flits_in_flight, oc // self._CPM, 1)
+                else:
+                    self.flits_in_flight[0] += ok.size
+                self._progress(oc)
                 for i in ok:
-                    nic = cand[i]
+                    nid = cand[i]
+                    nic = self.nics[nid]
                     nic.advance()
                     if nic.current_flits is None and not nic.queue:
-                        done.append(nic.router_id)
+                        done.append(nid)
         for nid in done:
             self.busy_nics.discard(nid)
 
-    def _start_next_packet(self, nic: Nic) -> bool:
-        algo = self.algorithm
+    def _start_next_packet(self, nic: Nic, m: int) -> bool:
+        algo = self.algos[m]
         while nic.queue:
             packet = nic.queue[0]
             if not algo.is_routable(packet.src, packet.dst):
                 nic.queue.popleft()
-                self.stats.on_packet_dropped(packet.measured)
-                if packet.measured:
-                    self.measured_outstanding -= 1
+                self._drop(packet, m)
                 continue
             if not algo.may_inject(packet, self.cycle):
                 return False  # head-of-line wait (RC permission network)
@@ -398,44 +408,34 @@ class VectorKernel(CycleKernel):
                 algo.prepare_packet(packet)
             except UnroutablePacketError:
                 nic.queue.popleft()
-                self.stats.on_packet_dropped(packet.measured)
-                if packet.measured:
-                    self.measured_outstanding -= 1
+                self._drop(packet, m)
                 continue
             nic.queue.popleft()
-            vc = self._injection_vc(packet)
+            vc = self._injection_vc(packet, m)
             nic.start_packet(packet, vc, self.cycle)
-            self._register_start(packet, nic)
+            self._register_start(packet, nic, m)
             return True
         return False
 
-    def _injection_vc(self, packet: Packet) -> int:
-        base = (packet.src * self._P + _LOCAL) * self._V
+    def _drop(self, packet: Packet, m: int) -> None:
+        self.stats[m].on_packet_dropped(packet.measured)
+        if packet.measured:
+            self.measured_outstanding[m] -= 1
+
+    def _injection_vc(self, packet: Packet, m: int) -> int:
+        base = ((m * self._R + packet.src) * self._P + _LOCAL) * self._V
         return min(self._vn_vcs[packet.vn], key=lambda v: int(self.blen[base + v]))
 
-    def _register_start(self, packet: Packet, nic: Nic) -> None:
+    def _register_start(self, packet: Packet, nic: Nic, m: int) -> None:
         """Mirror the packet's bound routing state after ``prepare_packet``."""
-        pid = packet.id
+        pid = packet.id * self._N + m
         self.pkt_vn[pid] = packet.vn
         self.pkt_down[pid] = -1 if packet.down_vl is None else packet.down_vl
         self.pkt_up[pid] = -1 if packet.up_vl is None else packet.up_vl
         self.pkt_needs_rc[pid] = bool(packet.needs_rc)
-        boundary = self.algorithm.stateful_boundary_router(packet)
+        boundary = self.algos[m].stateful_boundary_router(packet)
         self.pkt_boundary[pid] = _NONE if boundary is None else boundary
-        flits = nic.current_flits
-        assert flits is not None
-        n = self._nfids
-        m = len(flits)
-        self.first_fid[pid] = n
-        if n + m > len(self.fid_pkt):
-            self._grow_fids(n + m)
-        # Wormhole framing: the first flit is the head, the last the tail
-        # (a single-flit packet is both); the grown arrays default False.
-        self.fid_objs.extend(flits)
-        self.fid_pkt[n : n + m] = pid
-        self.fid_head[n] = True
-        self.fid_tail[n + m - 1] = True
-        self._nfids = n + m
+        self.pkt_flits[pid] = nic.current_flits
 
     # -- plan -------------------------------------------------------------
 
@@ -443,49 +443,46 @@ class VectorKernel(CycleKernel):
         """Decisions, RC claims, VC allocations, SA-request eligibility."""
         np = self._np
         act = np.flatnonzero(self.chan_active)  # ascending == canonical order
-        if act.size:
-            # Only channels without an assignment can need planning; under
-            # load that is a small minority, so gather their fronts only.
-            na = act[self.asg_port[act] == _NONE]
-            front = self.buf[na, self.bhead[na]]
-            sel = self.fid_head[front]
-            consider = na[sel]
-            cfront = front[sel]
-            if consider.size:
-                have = self.dec_port[consider] != _NONE
-                if not have.all():
-                    self._compute_decisions(consider[~have], cfront[~have])
-                self._claim_and_allocate(consider, cfront)
+        if not act.size:
+            return act, act
+        # Only channels without an assignment can need planning; under
+        # load that is a small minority, so gather their fronts only.
+        na = act[self.asg_port[act] == _NONE]
+        front = self.buf[na, self.bhead[na]]
+        sel = front % self._S == 0  # head flits
+        consider = na[sel]
+        cfront = front[sel]
+        if consider.size:
+            have = self.dec_port[consider] != _NONE
+            if not have.all():
+                self._compute_decisions(consider[~have], cfront[~have])
+            self._claim_and_allocate(consider, cfront)
         # -- build SA requests over the (possibly updated) assignments
-        if act.size:
-            ap = self.asg_port[act]
-            rcq = act[ap == RC_PORT]
-            am = ap >= 0
-            a_chan = act[am]
-            a_out = ap[am]
-            ok = np.ones(a_chan.size, dtype=bool)
-            nl = a_out != _LOCAL
-            ar = a_chan // self._PV
-            oc = (ar * self._P + a_out) * self._V + self.asg_vc[a_chan]
-            ok[nl] = self.credits_arr[oc[nl]] > 0
-            if self._vl_ser > 1:
-                vm = nl & (a_out == _VERT)
-                ok[vm] &= self.cycle >= self.vl_next_free[ar[vm]]
-            req_chan = a_chan[ok]
-        else:
-            rcq = act
-            req_chan = act
-        return req_chan, rcq
+        ap = self.asg_port[act]
+        rcq = act[ap == RC_PORT]
+        am = ap >= 0
+        a_chan = act[am]
+        a_out = ap[am]
+        ok = np.ones(a_chan.size, dtype=bool)
+        nl = a_out != _LOCAL
+        ar = a_chan // self._PV
+        oc = (ar * self._P + a_out) * self._V + self.asg_vc[a_chan]
+        ok[nl] = self.credits_arr[oc[nl]] > 0
+        if self._vl_ser > 1:
+            vm = nl & (a_out == _VERT)
+            ok[vm] &= self.cycle >= self.vl_next_free[ar[vm]]
+        return a_chan[ok], rcq
 
     def _compute_decisions(self, chans, fids) -> None:
         """Route fresh heads: one dense batch plus ordered live fallbacks."""
         np = self._np
         routes = self._routes
-        algo = self.algorithm
-        if algo.fault_state is not routes._fault_state:
-            routes._rebind(algo.fault_state)
-        pids = self.fid_pkt[fids]
+        fault_state = self.algos[0].fault_state
+        if fault_state is not routes._fault_state:
+            routes._rebind(fault_state)
+        pids = fids // self._S
         r = chans // self._PV
+        rl = r % self._R if self._multi else r  # member-local router
         in_port = (chans // self._V) % self._P
         dst = self.pkt_dst[pids]
         rlayer = self.layer_arr[r]
@@ -509,28 +506,32 @@ class VectorKernel(CycleKernel):
         phase[okdown] = PHASE_TO_DOWN
         anchor[okdown] = down[okdown]
         boundary = self.pkt_boundary[pids]
-        live |= (boundary == _NONE) | (boundary == r)  # stateful hops
+        live |= (boundary == _NONE) | (boundary == rl)  # stateful hops
         table = ~live
         if table.any():
             key = (
-                (phase[table] * self._anchors + anchor[table]) * self._R + r[table]
+                (phase[table] * self._anchors + anchor[table]) * self._R + rl[table]
             ) * (self._P * 2) + in_port[table] * 2 + self.pkt_vn[pids[table]]
             self._dense.maybe_resync()
             codes, found = self._dense.lookup(key)
             tchans = chans[table]
             hit = tchans[found]
             self.dec_code[hit] = codes[found]
-            self._table_decisions += hit.size
+            if self._multi:
+                self._table_decisions += np.bincount(hit // self._CPM, minlength=self._N)
+            else:
+                self._table_decisions[0] += hit.size
             miss = np.flatnonzero(table)[~found]
             live[miss] = True
         for i in np.flatnonzero(live):  # ascending channels == canonical
             c = int(chans[i])
             pid = int(pids[i])
+            m = c // self._CPM
             packet = self.pkt_objs[pid]
             assert packet is not None
-            decision = routes.route(packet, int(r[i]), Port(int(in_port[i])))
+            decision = routes.route(packet, int(rl[i]), Port(int(in_port[i])), self.algos[m])
             self.dec_code[c] = self._dense.code_for(decision)
-            self._live_decisions += 1
+            self._live_decisions[m] += 1
             if packet.up_vl is not None:  # the live call may have bound it
                 self.pkt_up[pid] = packet.up_vl
         self._sync_codes()
@@ -568,13 +569,9 @@ class VectorKernel(CycleKernel):
 
     def _claim_and_allocate(self, consider, cfront) -> None:
         np = self._np
-        pidc = self.fid_pkt[cfront]
+        pidc = cfront // self._S
         outp = self.dec_port[consider]
-        rc_mask = (
-            (outp == _VERT)
-            & self.has_rc[consider // self._PV]
-            & self.pkt_needs_rc[pidc]
-        )
+        rc_mask = (outp == _VERT) & self.has_rc[consider // self._PV] & self.pkt_needs_rc[pidc]
         for i in np.flatnonzero(rc_mask):  # ascending == canonical
             c = int(consider[i])
             unit = self.rc_buffers[c // self._PV]
@@ -615,11 +612,9 @@ class VectorKernel(CycleKernel):
         solo = feas[~contended]
         if solo.size:
             codes_s = self.dec_code[rest[solo]]
-            crank = np.where(
-                owners[solo] < 0, self.code_vc_rank[codes_s], _RANK_INF
-            )
+            crank = np.where(owners[solo] < 0, self.code_vc_rank[codes_s], _RANK_INF)
             vc = crank.argmin(axis=1)
-            pid_s = self.fid_pkt[rest_front[solo]]
+            pid_s = rest_front[solo] // self._S
             self.owner_arr[base[solo] + vc] = pid_s
             vns = self.code_vc_vn[codes_s, vc]
             self.pkt_vn[pid_s] = vns
@@ -631,21 +626,14 @@ class VectorKernel(CycleKernel):
             c = int(rest[i])
             b = int(base[i])
             code = int(self.dec_code[c])
-            pid = int(self.fid_pkt[int(rest_front[i])])
-            packet = self.pkt_objs[pid]
-            assert packet is not None
-            claimed = False
-            for vn in self._code_vns[code]:
-                for vc in self._vn_vcs[vn]:
-                    if self.owner_arr[b + vc] < 0:
-                        self.owner_arr[b + vc] = pid
-                        packet.vn = vn
-                        self.pkt_vn[pid] = vn
-                        self.asg_port[c] = self._code_ports[code]
-                        self.asg_vc[c] = vc
-                        claimed = True
-                        break
-                if claimed:
+            pid = int(rest_front[i]) // self._S
+            for vn in self._code_vns[code]:  # first fit, walk order
+                vc = next((v for v in self._vn_vcs[vn] if self.owner_arr[b + v] < 0), None)
+                if vc is not None:
+                    self.owner_arr[b + vc] = pid
+                    self.pkt_objs[pid].vn = self.pkt_vn[pid] = vn
+                    self.asg_port[c] = self._code_ports[code]
+                    self.asg_vc[c] = vc
                     break
 
     # -- serve ------------------------------------------------------------
@@ -732,7 +720,7 @@ class VectorKernel(CycleKernel):
         self.bhead[wc] = (self.bhead[wc] + 1) % self._D
         self.blen[wc] -= 1
         self.chan_active[wc] = self.blen[wc] > 0
-        self.last_progress = self.cycle
+        self._progress(wc)
         lm = wi == _LOCAL
         if lm.any() and self.stalled_nics:
             # A LOCAL input popped: its NIC may have space again.
@@ -740,14 +728,15 @@ class VectorKernel(CycleKernel):
         upm = wi != _LOCAL
         if upm.any():
             credit_idx.append(self.upstream_base[wr[upm] * self._P + wi[upm]] + wv[upm])
-        heads = self.fid_head[fid]
-        tails = self.fid_tail[fid]
+        seq = fid % self._S
+        heads = seq == 0
+        tails = seq == self._S - 1
         em = wo == _LOCAL
         if em.any():
             eidx = np.flatnonzero(em)
             eidx = eidx[np.argsort(wr[eidx], kind="stable")]  # router order
             for i in eidx:
-                self._eject(int(fid[i]))
+                self._eject(int(fid[i]), int(wr[i]) // self._R)
         tm = ~em
         if tm.any():
             tc = wc[tm]
@@ -759,7 +748,7 @@ class VectorKernel(CycleKernel):
             dc = self.link_base[tr * self._P + to] + tvc
             transfers_dc.append(dc)
             transfers_fid.append(fid[tm])
-            hp = self.fid_pkt[fid[tm][heads[tm]]]
+            hp = fid[tm][heads[tm]] // self._S
             self.pkt_hops[hp] += 1  # one head per packet per cycle: no dupes
             vm = to == _VERT
             if vm.any():
@@ -774,21 +763,24 @@ class VectorKernel(CycleKernel):
         self.asg_port[done] = _NONE
         self.dec_port[done] = _NONE
 
-    def _eject(self, fid: int) -> None:
-        flit = self.fid_objs[fid]
+    def _flit(self, fid: int):
+        return self.pkt_flits[fid // self._S][fid % self._S]
+
+    def _eject(self, fid: int, m: int) -> None:
+        flit = self._flit(fid)
         packet = flit.packet
         packet.flits_ejected += 1
-        self.flits_in_flight -= 1
+        self.flits_in_flight[m] -= 1
         if flit.is_tail:
+            pid = packet.id * self._N + m
             packet.delivered_cycle = self.cycle
-            packet.hops = int(self.pkt_hops[packet.id])
+            packet.hops = int(self.pkt_hops[pid])
             latency = packet.delivered_cycle - packet.created_cycle
-            self.stats.on_packet_delivered(latency, packet.hops, packet.measured)
-            self.algorithm.on_packet_delivered(packet, self.cycle)
+            self.stats[m].on_packet_delivered(latency, packet.hops, packet.measured)
+            self.algos[m].on_packet_delivered(packet, self.cycle)
             if packet.measured:
-                self.measured_outstanding -= 1
-            self.pkt_objs[packet.id] = None
-        self.fid_objs[fid] = None
+                self.measured_outstanding[m] -= 1
+            self.pkt_objs[pid] = self.pkt_flits[pid] = None
 
     def _absorb_rc(self, rcq, used, credit_idx) -> None:
         np = self._np
@@ -816,9 +808,9 @@ class VectorKernel(CycleKernel):
                     self.upstream_base[rid * self._P + port : rid * self._P + port + 1]
                     + vc
                 )
-            flit = self.fid_objs[fid]
+            flit = self._flit(fid)
             unit.flits.append(flit)
-            self.last_progress = self.cycle
+            self.last_progress[rid // self._R] = self.cycle
             if flit.is_tail:
                 unit.complete = True
                 self.asg_port[c] = _NONE
@@ -826,16 +818,18 @@ class VectorKernel(CycleKernel):
 
     def _drain_rc(self, transfers_dc, transfers_fid) -> None:
         np = self._np
+        N = self._N
         for rid, unit in self._rc_units:  # ascending router order
             if not unit.complete or not unit.flits:
                 continue
+            m = rid // self._R
             vbase = (rid * self._P + _VERT) * self._V
             if unit.out_vc is None:
-                owner_pid = unit.owner
-                assert owner_pid is not None
+                owner = unit.owner
+                assert owner is not None
                 for vc in range(self._V):
                     if self.owner_arr[vbase + vc] < 0:
-                        self.owner_arr[vbase + vc] = owner_pid.id
+                        self.owner_arr[vbase + vc] = owner.id * N + m
                         unit.out_vc = vc
                         break
                 if unit.out_vc is None:
@@ -846,14 +840,15 @@ class VectorKernel(CycleKernel):
             if self._vl_ser > 1 and self.cycle < self.vl_next_free[rid]:
                 continue
             flit = unit.flits.popleft()
+            pid = flit.packet.id * N + m
             self.credits_arr[vbase + out_vc] -= 1
             dc = int(self.link_base[rid * self._P + _VERT]) + out_vc
-            fid = int(self.first_fid[flit.packet.id]) + flit.seq
+            fid = pid * self._S + flit.seq
             transfers_dc.append(np.array([dc], dtype=np.int64))
             transfers_fid.append(np.array([fid], dtype=np.int64))
-            self.last_progress = self.cycle
+            self.last_progress[m] = self.cycle
             if flit.is_head:
-                self.pkt_hops[flit.packet.id] += 1
+                self.pkt_hops[pid] += 1
             self.shadow_vl[self.vl_of[rid], int(VLDirection.DOWN)] += 1
             self._vl_dirty = True
             if self._vl_ser > 1:
@@ -863,7 +858,9 @@ class VectorKernel(CycleKernel):
                 packet = unit.owner
                 assert packet is not None
                 unit.reset()
-                self.algorithm.on_rc_buffer_drained(rid, packet, self.cycle)
+                self.algos[m].on_rc_buffer_drained(
+                    rid - m * self._R, packet, self.cycle
+                )
 
     # -- commit ------------------------------------------------------------
 
@@ -893,11 +890,8 @@ class VectorKernel(CycleKernel):
             self.buf[dc, slot] = fid
             self.blen[dc] += 1
             self.chan_active[dc] = True
-            np.add.at(
-                self.shadow_vc, (self.layer_arr[dc // self._PV] + 1, dc % self._V), 1
-            )
+            np.add.at(self.shadow_vc, (self.region_arr[dc // self._PV], dc % self._V), 1)
             self._vc_dirty = True
-            self.shadow_flit_hops += int(dc.size)
         credits = self.credit_arrivals.pop(self.cycle, None)
         if credits:
             idx = credits[0] if len(credits) == 1 else np.concatenate(credits)
@@ -906,27 +900,28 @@ class VectorKernel(CycleKernel):
     # -- stats fold --------------------------------------------------------
 
     def _fold_stats(self) -> None:
-        """Flush the shadow accumulators into the shared StatsCollector.
+        """Flush the shadow accumulators into the members' StatsCollectors.
 
         Folding is lazy: ``step`` only accumulates into the numpy shadows
         and the flush happens at observation points — ``snapshot()`` and
         ``finalize()`` (the engine finalizes after every run loop and at
         the end of ``run_cycles``). Addition commutes, so deferring the
-        flush never changes the totals the collector reports.
+        flush never changes the totals the collectors report. Every
+        arrival is one flit-hop, so flit-hops fold from the VC shadow.
         """
         np = self._np
-        stats = self.stats
-        if self.shadow_flit_hops:
-            stats.flit_hops += self.shadow_flit_hops
-            self.shadow_flit_hops = 0
         if self._vc_dirty:
-            for li, vci in zip(*np.nonzero(self.shadow_vc)):
-                stats.vc_flits[int(li) - 1][int(vci)] += int(self.shadow_vc[li, vci])
+            for row, vci in zip(*np.nonzero(self.shadow_vc)):
+                m, region = divmod(int(row), self._regions)
+                count = int(self.shadow_vc[row, vci])
+                self.stats[m].vc_flits[region - 1][int(vci)] += count
+                self.stats[m].flit_hops += count
             self.shadow_vc[:] = 0
             self._vc_dirty = False
         if self._vl_dirty:
-            for vli, diri in zip(*np.nonzero(self.shadow_vl)):
-                stats.vl_flits[(int(vli), int(diri))] += int(self.shadow_vl[vli, diri])
+            for row, diri in zip(*np.nonzero(self.shadow_vl)):
+                m, vli = divmod(int(row), self._nvl)
+                self.stats[m].vl_flits[(vli, int(diri))] += int(self.shadow_vl[row, diri])
             self.shadow_vl[:] = 0
             self._vl_dirty = False
 
@@ -934,84 +929,91 @@ class VectorKernel(CycleKernel):
 
     def _check_watchdog(self) -> None:
         limit = self.config.watchdog_cycles
-        if limit <= 0 or self.flits_in_flight <= 0:
+        if limit <= 0:
             return
-        if self.cycle - self.last_progress >= limit:
-            raise DeadlockError(self.last_progress, self.flits_in_flight)
+        fif, lp = self.flits_in_flight, self.last_progress
+        tripped = [m for m in self.live if fif[m] > 0 and self.cycle - lp[m] >= limit]
+        if not tripped:
+            return
+        if len(tripped) == len(self.live):
+            m = tripped[0]
+            raise DeadlockError(int(lp[m]), int(fif[m]))
+        for m in tripped:
+            self.deadlocked.add(m)
+            self.retire(m)
 
     # -- object-state materialization --------------------------------------
 
-    def _materialize(self) -> SimState:
-        """An object-based :class:`SimState` equal to the array state.
+    def _materialize(self, m: int) -> SimState:
+        """An object-based :class:`SimState` equal to member ``m``'s arrays.
 
         Memoized until the next ``step``; the result is a *copy* —
         mutations through it do not reach the arrays.
         """
-        if self._mat is not None:
-            return self._mat
+        st = self._mat.get(m)
+        if st is not None:
+            return st
         np = self._np
-        st = SimState(self.system, self.algorithm, self.config)
-        st.cycle = self.cycle
-        st.packet_counter = self.packet_counter
-        st.flits_in_flight = self.flits_in_flight
-        st.last_progress = self.last_progress
-        st.measured_outstanding = self.measured_outstanding
-        st.sa_rr = [int(x) for x in self.sa_rr]
-        st.rc_buffers = self.rc_buffers
-        st.nics = self.nics
-        st.busy_nics = set(self.busy_nics)
-        for pid in range(self.packet_counter):
+        N, R, CPM = self._N, self._R, self._CPM
+        rlo, clo = m * R, m * CPM
+        st = SimState(self.system, self.algos[m], self.config)
+        st.cycle = self.retired_at.get(m, self.cycle)
+        st.packet_counter = self.packet_counter[m]
+        st.flits_in_flight = int(self.flits_in_flight[m])
+        st.last_progress = int(self.last_progress[m])
+        st.measured_outstanding = self.measured_outstanding[m]
+        st.sa_rr = self.sa_rr[rlo : rlo + R].tolist()
+        st.rc_buffers = self.rc_buffers[rlo : rlo + R]
+        st.nics = self.nics[rlo : rlo + R]
+        st.busy_nics = {n - rlo for n in self.busy_nics if rlo <= n < rlo + R}
+        for pid in range(m, self.packet_counter[m] * N, N):
             packet = self.pkt_objs[pid]
             if packet is not None:
                 packet.hops = int(self.pkt_hops[pid])
         P, V, PV, D = self._P, self._V, self._PV, self._D
-        for c64 in np.flatnonzero(self.blen > 0):
-            c = int(c64)
-            rid, port, vc = c // PV, (c // V) % P, c % V
+        span = slice(clo, clo + CPM)
+
+        def where(mask):
+            for c64 in np.flatnonzero(mask):
+                c = int(c64)
+                yield c + clo, c // PV, (c // V) % P, c % V
+
+        for g, rid, port, vc in where(self.blen[span] > 0):
             dq = st.buffers[rid][port][vc]
-            head, length = int(self.bhead[c]), int(self.blen[c])
+            head, length = int(self.bhead[g]), int(self.blen[g])
             for i in range(length):
-                dq.append(self.fid_objs[int(self.buf[c, (head + i) % D])])
+                dq.append(self._flit(int(self.buf[g, (head + i) % D])))
             st.active[rid].add((port, vc))
             st.active_routers.add(rid)
-        for c64 in np.flatnonzero(self.asg_port != _NONE):
-            c = int(c64)
-            rid, port, vc = c // PV, (c // V) % P, c % V
-            ap = int(self.asg_port[c])
+        for g, rid, port, vc in where(self.asg_port[span] != _NONE):
+            ap = int(self.asg_port[g])
             st.assigned[rid][port][vc] = (
-                (RC_PORT, 0) if ap == RC_PORT else (ap, int(self.asg_vc[c]))
+                (RC_PORT, 0) if ap == RC_PORT else (ap, int(self.asg_vc[g]))
             )
-        for c64 in np.flatnonzero(self.dec_port != _NONE):
-            c = int(c64)
-            rid, port, vc = c // PV, (c // V) % P, c % V
-            st.decision[rid][port][vc] = self._dense.decisions[int(self.dec_code[c])]
-        for c64 in np.flatnonzero(self.owner_arr >= 0):
-            c = int(c64)
-            rid, port, vc = c // PV, (c // V) % P, c % V
-            st.out_owner[rid][port][vc] = self.pkt_objs[int(self.owner_arr[c])]
-        for c64 in np.flatnonzero(self.credits_arr != D):
-            c = int(c64)
-            rid, port, vc = c // PV, (c // V) % P, c % V
-            st.credits[rid][port][vc] = int(self.credits_arr[c])
-        for rid, unit in self._rc_units:
-            if unit.flits:
-                st.active_routers.add(rid)
+        for g, rid, port, vc in where(self.dec_port[span] != _NONE):
+            st.decision[rid][port][vc] = self._dense.decisions[int(self.dec_code[g])]
+        for g, rid, port, vc in where(self.owner_arr[span] >= 0):
+            st.out_owner[rid][port][vc] = self.pkt_objs[int(self.owner_arr[g])]
+        for g, rid, port, vc in where(self.credits_arr[span] != D):
+            st.credits[rid][port][vc] = int(self.credits_arr[g])
+        st.active_routers.update(r for r, u in enumerate(st.rc_buffers) if u and u.flits)
         for due, batch in self.arrivals.items():
-            entries = st.arrivals.setdefault(due, [])
             for dc_arr, fid_arr in batch:
                 for dc64, fid64 in zip(dc_arr, fid_arr):
-                    dc = int(dc64)
-                    entries.append(
-                        (dc // PV, (dc // V) % P, dc % V, self.fid_objs[int(fid64)])
-                    )
+                    dc = int(dc64) - clo
+                    if 0 <= dc < CPM:
+                        st.arrivals.setdefault(due, []).append(
+                            (dc // PV, (dc // V) % P, dc % V, self._flit(int(fid64)))
+                        )
         for due, batch in self.credit_arrivals.items():
-            entries = st.credit_arrivals.setdefault(due, [])
             for idx_arr in batch:
                 for f64 in idx_arr:
-                    f = int(f64)
-                    entries.append((f // PV, (f // V) % P, f % V))
-        for rid64 in np.flatnonzero(self.vl_next_free > 0):
-            rid = int(rid64)
-            st.vl_next_free[rid] = int(self.vl_next_free[rid])
-        self._mat = st
+                    f = int(f64) - clo
+                    if 0 <= f < CPM:
+                        st.credit_arrivals.setdefault(due, []).append(
+                            (f // PV, (f // V) % P, f % V)
+                        )
+        busy_until = self.vl_next_free[rlo : rlo + R].tolist()
+        st.vl_next_free = {rid: free for rid, free in enumerate(busy_until) if free > 0}
+        self._mat[m] = st
         return st

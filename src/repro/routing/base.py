@@ -26,6 +26,7 @@ algorithms only decide *which* VLs and *which* virtual networks.
 from __future__ import annotations
 
 import abc
+import copy
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -200,7 +201,27 @@ class RoutingAlgorithm(abc.ABC):
         """
 
     def reset_runtime_state(self) -> None:
-        """Clear per-simulation mutable state (round-robin counters, tokens)."""
+        """Reset per-simulation mutable state (round-robin counters, tokens).
+
+        Implementations must bind *fresh* containers rather than clear
+        shared ones in place, so a :meth:`runtime_copy` never shares
+        runtime state with the instance it was copied from.
+        """
+
+    #: On a :meth:`runtime_copy`, the instance it was copied from.
+    runtime_origin: "RoutingAlgorithm | None" = None
+
+    def runtime_copy(self) -> "RoutingAlgorithm":
+        """A twin with its own runtime state and everything else shared.
+
+        Offline tables, bindings and the installed fault state are shared
+        read-only, so route tables compiled for this instance serve the
+        twin too. Batched runs give every member one of these.
+        """
+        twin = copy.copy(self)
+        twin.runtime_origin = self.runtime_origin or self
+        twin.reset_runtime_state()
+        return twin
 
 
 class PhasedRoutingMixin:

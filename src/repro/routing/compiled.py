@@ -110,9 +110,21 @@ class CompiledRoutes:
     # route table
     # ------------------------------------------------------------------
 
-    def route(self, packet: "Packet", router_id: int, in_port: Port) -> RouteDecision:
-        """Table-served drop-in for ``algorithm.route`` (bit-identical)."""
-        algorithm = self.algorithm
+    def route(
+        self,
+        packet: "Packet",
+        router_id: int,
+        in_port: Port,
+        algorithm: RoutingAlgorithm | None = None,
+    ) -> RouteDecision:
+        """Table-served drop-in for ``algorithm.route`` (bit-identical).
+
+        ``algorithm`` is the instance whose runtime state live hops
+        advance — a :meth:`~repro.routing.base.RoutingAlgorithm.runtime_copy`
+        of :attr:`algorithm` in a batched run; defaults to the table's own.
+        """
+        if algorithm is None:
+            algorithm = self.algorithm
         fault_state = algorithm.fault_state
         if fault_state is not self._fault_state:
             self._rebind(fault_state)

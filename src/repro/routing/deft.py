@@ -324,8 +324,8 @@ class DeftRouting(PhasedRoutingMixin, RoutingAlgorithm):
             self._outstanding_up[packet.up_vl] -= 1
 
     def reset_runtime_state(self) -> None:
-        self._inject_rr.clear()
-        self._down_rr.clear()
-        self._outstanding_down.clear()
-        self._outstanding_up.clear()
+        self._inject_rr = {}
+        self._down_rr = {}
+        self._outstanding_down = {}
+        self._outstanding_up = {}
         self._rng = random.Random(self.seed)

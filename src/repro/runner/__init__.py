@@ -19,7 +19,7 @@ batched, cached, multi-worker pipelines:
 
 from .backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
 from .cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
-from .execute import execute_job, sample_rng
+from .execute import execute_job, execute_jobs, sample_rng
 from .result import JobResult
 from .runner import CampaignReport, CampaignRunner
 from .session import SessionContext, get_session, reset_session
@@ -53,6 +53,7 @@ __all__ = [
     "SystemRef",
     "TrafficSpec",
     "execute_job",
+    "execute_jobs",
     "faults_to_spec",
     "get_session",
     "reset_session",

@@ -37,7 +37,7 @@ import time
 import weakref
 from typing import Callable, Sequence
 
-from .execute import execute_job
+from .execute import execute_job, execute_jobs
 from .result import JobResult
 from .session import get_session
 from .spec import Job
@@ -141,7 +141,11 @@ class ExecutionBackend(abc.ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Run jobs one after another in the calling process.
+    """Run jobs in the calling process through :func:`~repro.runner.execute.execute_jobs`.
+
+    With a session, same-table simulation jobs advance in lockstep
+    batches of the vector kernel; everything else runs one job at a time.
+    Progress callbacks fire in completion order.
 
     Args:
         use_session: reuse the calling process's session between jobs
@@ -159,13 +163,12 @@ class SerialBackend(ExecutionBackend):
 
     def run(self, jobs: Sequence[Job], on_result: ProgressFn | None = None) -> list[JobResult]:
         session = get_session() if self.use_session else None
-        results: list[JobResult] = []
-        for index, job in enumerate(jobs):
-            if self.events is None:
-                result = execute_job(job, session=session)
-            else:
-                phases: dict = {}
-                result = execute_job(job, session=session, phases=phases)
+        done = 0
+
+        def finished(index: int, result: JobResult, phases: dict) -> None:
+            nonlocal done
+            done += 1
+            if self.events is not None:
                 self.events.emit(
                     "job_phase",
                     key=result.job_key,
@@ -176,10 +179,10 @@ class SerialBackend(ExecutionBackend):
                     cache_s=0.0,
                 )
                 self._emit_finished(result)
-            results.append(result)
             if on_result is not None:
-                on_result(index + 1, len(jobs), job, result)
-        return results
+                on_result(done, len(jobs), jobs[index], result)
+
+        return execute_jobs(jobs, session=session, on_result=finished)
 
 
 class ProcessPoolBackend(ExecutionBackend):

@@ -21,9 +21,11 @@ aborts a campaign; the traceback is preserved in ``result.error``.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import time
 import traceback
+from typing import Callable, Sequence
 
 from ..config import SimulationConfig
 from ..errors import ConfigurationError
@@ -33,6 +35,7 @@ from ..fault.model import (
     random_fault_state,
     random_stratified_fault_state,
 )
+from ..network.kernels import KERNEL_ENV
 from ..network.simulator import Simulator
 from ..routing.base import RoutingAlgorithm
 from ..routing.registry import make_algorithm
@@ -255,11 +258,17 @@ def execute_job(
             error=traceback.format_exc(limit=20),
             duration_s=end - start,
         )
-    stats = report.stats
     end = time.perf_counter()
     _observe_phases(
         phases, True, setup_s, compile_s, end - sim_mark, end - start
     )
+    return _simulation_result(key, report, sampled, end - start)
+
+
+def _simulation_result(
+    key: str, report, sampled: tuple, duration_s: float
+) -> JobResult:
+    stats = report.stats
     return JobResult(
         job_key=key,
         ok=True,
@@ -277,5 +286,177 @@ def execute_job(
         vc_utilization=stats.vc_utilization_report(),
         vl_loads=stats.vl_load_report(),
         sampled_faults=sampled,
-        duration_s=end - start,
+        duration_s=duration_s,
     )
+
+
+# ----------------------------------------------------------------------
+# lockstep batches
+# ----------------------------------------------------------------------
+
+#: Router budget of one lockstep batch. On the paper's systems the vector
+#: kernel's step cost is mostly fixed numpy overhead: a step over 8 x 128
+#: routers cost 2.3x one over 128, while past about a thousand routers
+#: the cost grows with the router count (README, "Lockstep batches").
+#: Every paper-figs group fits (up to 6 x 128 or 5 x 192 routers); a
+#: 2,048-router job always runs alone.
+BATCH_ROUTERS = 1024
+
+#: Called as each job of :func:`execute_jobs` finishes:
+#: (index into ``jobs``, result, phase split).
+FinishedFn = Callable[[int, JobResult, dict], None]
+
+
+def batch_key(job: Job) -> tuple | None:
+    """Jobs with equal keys share a route table and may run in lockstep.
+
+    They agree on system, algorithm (+ parameters), explicit faults and
+    config apart from the seed; traffic and seeds may differ. ``None``
+    means the job always runs alone: reachability jobs, sampled faults
+    (a fault state per job) and ``kernel="reference"`` requests.
+    """
+    if job.kind != "simulate" or job.faults_mode != "explicit":
+        return None
+    if job.kernel == "reference":
+        return None
+    return (
+        SessionContext.system_key(job.system),
+        job.algorithm,
+        job.algorithm_params,
+        job.faults,
+        job.config.replace(seed=0),
+    )
+
+
+def execute_jobs(
+    jobs: Sequence[Job],
+    session: SessionContext | None = None,
+    on_result: FinishedFn | None = None,
+) -> list[JobResult]:
+    """Run ``jobs``, advancing same-table simulations in lockstep batches.
+
+    Results equal :func:`execute_job`'s bit for bit, in input order. With
+    a ``session`` (and no ``DEFT_KERNEL`` override), simulation jobs with
+    equal :func:`batch_key` run as lockstep batches of the vector kernel,
+    filled in submission order while their total router count stays
+    within :data:`BATCH_ROUTERS`; every other job, and every batch of
+    one, runs through :func:`execute_job` exactly as before. A batch
+    member's ``duration_s`` and phase split are its share of the batch's
+    wall-clock, apportioned by simulated cycles, so the members' shares
+    sum to the batch's wall-clock.
+    """
+    results: list[JobResult | None] = [None] * len(jobs)
+
+    def finish(index: int, result: JobResult, phases: dict) -> None:
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result, phases)
+
+    batching = session is not None and not os.environ.get(KERNEL_ENV)
+    groups: dict[tuple, list[int]] = {}
+    order: list[list[int]] = []
+    for index, job in enumerate(jobs):
+        key = batch_key(job) if batching else None
+        if key is None:
+            order.append([index])
+        elif key in groups:
+            groups[key].append(index)
+        else:
+            groups[key] = [index]
+            order.append(groups[key])
+    for indices in order:
+        if len(indices) == 1:
+            _execute_solo(jobs, indices, session, finish)
+        else:
+            _execute_group(jobs, indices, session, finish)
+    return results  # type: ignore[return-value]
+
+
+def _execute_solo(jobs, indices, session, finish: FinishedFn) -> None:
+    for index in indices:
+        phases: dict = {}
+        finish(index, execute_job(jobs[index], session=session, phases=phases), phases)
+
+
+def _execute_group(jobs, indices, session, finish: FinishedFn) -> None:
+    """Lockstep batches for one :func:`batch_key` group.
+
+    Any exception while building or running a batch re-runs its jobs
+    alone, so failures surface exactly as :func:`execute_job` reports
+    them (and the others still succeed).
+    """
+    start = time.perf_counter()
+    lead = jobs[indices[0]]
+    try:
+        system = session.system(lead.system)
+        size = BATCH_ROUTERS // len(system.routers)
+        if size > 1:
+            algorithm = session.algorithm(
+                lead.system, system, lead.algorithm, lead.algorithm_params,
+                build=lambda: _build_algorithm(lead, system),
+            )
+            built = time.perf_counter()
+            routes = session.routes(
+                lead.system, lead.algorithm, lead.algorithm_params, algorithm
+            )
+            compiled = time.perf_counter()
+            algorithm.set_fault_state(session.fault_state(lead.system, system, lead))
+    except Exception:
+        size = 1
+    if size <= 1 or routes is None:
+        # A system that fills a batch on its own (or one that cannot run
+        # on the vector kernel) keeps the one-job path.
+        _execute_solo(jobs, indices, session, finish)
+        return
+    # The group's shared builds are charged to its first batch.
+    shared = ((built - start) + (time.perf_counter() - compiled), compiled - built)
+    for first in range(0, len(indices), size):
+        chunk = indices[first : first + size]
+        if len(chunk) == 1:
+            _execute_solo(jobs, chunk, session, finish)
+        else:
+            _execute_batch(
+                jobs, chunk, session, system, algorithm, routes, shared, finish
+            )
+        shared = (0.0, 0.0)
+
+
+def _execute_batch(
+    jobs, chunk, session, system, algorithm, routes, shared, finish: FinishedFn
+) -> None:
+    start = time.perf_counter()
+    try:
+        sims = [
+            Simulator(
+                system,
+                algorithm.runtime_copy(),
+                jobs[index].traffic.build(system, seed=jobs[index].seed),
+                jobs[index].config.replace(seed=jobs[index].seed),
+                routes=routes,
+                kernel=jobs[index].kernel,
+            )
+            for index in chunk
+        ]
+        Simulator.lockstep(sims)
+        sim_mark = time.perf_counter()
+        reports = [sim.run() for sim in sims]
+    except Exception:
+        _execute_solo(jobs, chunk, session, finish)
+        return
+    end = time.perf_counter()
+    setup_s = shared[0] + (sim_mark - start)
+    compile_s = shared[1]
+    simulate_s = end - sim_mark
+    total = sum(report.cycles for report in reports)
+    for index, report in zip(chunk, reports):
+        weight = report.cycles / total if total else 1 / len(chunk)
+        phases: dict = {}
+        _observe_phases(
+            phases, True,
+            weight * setup_s, weight * compile_s, weight * simulate_s,
+            weight * (setup_s + compile_s + simulate_s),
+        )
+        result = _simulation_result(
+            jobs[index].key(), report, (), phases["total_s"]
+        )
+        finish(index, result, phases)

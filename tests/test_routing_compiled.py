@@ -272,3 +272,85 @@ def test_compilation_is_strictly_opt_in():
     from repro.routing.base import RoutingAlgorithm
 
     assert RoutingAlgorithm.compilable is False
+
+
+class TestRuntimeCopies:
+    """``runtime_copy`` twins of one memoized algorithm are independent.
+
+    Batched runs hand every member a copy of the session's algorithm.
+    Two copies driven with interleaved packet streams must decide exactly
+    what two separately built instances decide — so no round-robin
+    counter, RNG or token may be shared between copies, or with the
+    memoized original.
+    """
+
+    @staticmethod
+    def _packets(system, seed: int, count: int = 60) -> list[Packet]:
+        rng = random.Random(seed)
+        cores = list(system.cores)
+        packets = []
+        for index in range(count):
+            src, dst = rng.sample(cores, 2)
+            packets.append(Packet(index, src, dst, 8, index))
+        return packets
+
+    @staticmethod
+    def _decisions(algo, packets):
+        """One record per packet: injection, boundary and up-VL decisions."""
+        for cycle, packet in enumerate(packets):
+            if not algo.is_routable(packet.src, packet.dst):
+                yield None
+                continue
+            record = [algo.may_inject(packet, cycle)]
+            algo.prepare_packet(packet)
+            record += [packet.vn, packet.down_vl, packet.needs_rc]
+            boundary = algo.stateful_boundary_router(packet)
+            if boundary is not None and boundary >= 0:
+                decision = algo.route(packet, boundary, Port.LOCAL)
+                record.append(tuple(decision.allowed_vns))
+            if packet.down_vl is not None:
+                algo.ensure_up_binding(packet)
+                record.append(packet.up_vl)
+            if packet.needs_rc and cycle % 3 == 0:
+                algo.on_rc_buffer_drained(packet.rc_boundary, packet, cycle)
+            algo.on_packet_delivered(packet, cycle)
+            yield tuple(record)
+
+    def _interleaved(self, first, second, system):
+        streams = (
+            self._decisions(first, self._packets(system, 1)),
+            self._decisions(second, self._packets(system, 2)),
+        )
+        return [next(stream) for _ in range(60) for stream in streams]
+
+    @staticmethod
+    def _built(name, system, fault_state, count=2):
+        algos = tuple(make_algorithm(name, system) for _ in range(count))
+        for algo in algos:
+            algo.set_fault_state(fault_state)
+        return algos
+
+    @pytest.mark.parametrize("name", ("deft", "deft-ran", "deft-ada", "rc"))
+    def test_copies_decide_like_separate_instances(self, system4, name):
+        memoized = make_algorithm(name, system4)
+        faults = chiplet_fault_pattern(system4, 0, down_faulty=[1])
+        memoized.set_fault_state(faults)
+        copies = (memoized.runtime_copy(), memoized.runtime_copy())
+        expected = self._interleaved(*self._built(name, system4, faults), system4)
+        assert self._interleaved(*copies, system4) == expected
+        # The memoized original saw none of the copies' packets: it still
+        # decides like a freshly built instance.
+        (fresh,) = self._built(name, system4, faults, count=1)
+        assert self._interleaved(memoized, fresh, system4) == expected
+
+    def test_copy_shares_tables_and_routes(self, system4):
+        memoized = make_algorithm("deft", system4)
+        copy = memoized.runtime_copy()
+        assert copy.tables is memoized.tables
+        assert copy.runtime_origin is memoized
+        assert copy.runtime_copy().runtime_origin is memoized
+        routes = compile_routes(memoized)
+        traffic = make_traffic("uniform", system4, rate=0.01, seed=3)
+        Simulator(system4, copy, traffic, routes=routes)  # accepted
+        with pytest.raises(ValueError):
+            Simulator(system4, make_algorithm("deft", system4), traffic, routes=routes)
