@@ -12,7 +12,7 @@ Three cases, all recorded in ``benchmarks/BENCH_distributed.json``:
   one CPU and a "slowdown" measures contention, not spool overhead —
   but the numbers (and the core count they were taken on) are always
   recorded.
-* ``test_spool_fs_ops_per_job`` — the protocol-v2 overhead case: the
+* ``test_spool_fs_ops_per_job`` — the batching overhead case: the
   same MC campaign shape executed inline (no subprocesses, so the
   process-global ``deft_spool_fs_ops`` counter sees every operation)
   at ``--batch 1`` versus ``--batch 8``; batching must cut filesystem
@@ -163,7 +163,7 @@ def test_spool_multiworker_vs_serial(tmp_path_factory, bench_metrics):
 
 
 def test_spool_fs_ops_per_job(tmp_path_factory, bench_metrics):
-    """Protocol v2 acceptance: >= 4x fewer spool fs ops/job at batch 8.
+    """Batching acceptance: >= 4x fewer spool fs ops/job at batch 8.
 
     Runs the MC campaign case *inline* — enqueue and worker in this
     process — so the process-global ``deft_spool_fs_ops`` counter

@@ -28,13 +28,12 @@ from .shard import (
     shard_jobs,
     shard_of_key,
 )
-from .spool import BatchClaim, BatchEntry, Claim, Spool
+from .spool import BatchClaim, BatchEntry, Spool
 from .worker import run_worker
 
 __all__ = [
     "BatchClaim",
     "BatchEntry",
-    "Claim",
     "RendezvousError",
     "RoundRendezvous",
     "Spool",

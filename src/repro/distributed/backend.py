@@ -54,9 +54,9 @@ def auto_batch_size(spool_root: str | Path) -> int:
     ~:data:`TARGET_LEASE_WORK_S` of work per lease, clamped to
     [1, ``MAX_BATCH``]: sub-second MC jobs batch aggressively, long
     simulate jobs stay at 1 so crash requeue keeps per-job granularity.
-    A spool with no history yet sizes to 1 (exactly protocol-v1
-    behaviour) — pin ``--batch`` explicitly for a cold spool's first
-    campaign if its job sizes are known.
+    A spool with no history yet sizes to 1 (one job per lease, so a
+    crash forfeits the least work) — pin ``--batch`` explicitly for a
+    cold spool's first campaign if its job sizes are known.
     """
     durations: list[float] = []
     for record in read_all_events(spool_root):

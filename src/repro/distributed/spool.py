@@ -1,4 +1,4 @@
-"""Broker-less filesystem job spool (protocol v2: batched leases).
+"""Broker-less filesystem job spool (protocol v3: every file is a batch).
 
 A :class:`Spool` is a directory any number of worker processes can pull
 jobs from — local subprocesses today, machines sharing the directory
@@ -9,33 +9,34 @@ need in common is the directory.
 Layout::
 
     <root>/
-      spool.json          protocol version manifest (v2; absent = v1)
-      jobs/<key>.json     pending single-job specs (v1 wire format)
-      jobs/batch-*.json   pending multi-job batches (v2, one file per batch)
-      claims/<name>.json  leased jobs: payload + worker id + lease deadline
-                          (one lease file covers every job in a batch)
-      requeue/<name>.json transient reaper staging (recovered if orphaned)
-      failed/<key>.json   terminal failures handed back to the backend
-      workers/<id>.json   per-worker observability stats (session hit rates)
-      manifest/           campaign descriptors + JSONL event streams
-                          (see :mod:`repro.telemetry.manifest`)
-      STOP                shutdown sentinel for long-lived workers
+      spool.json           protocol version manifest (v3)
+      jobs/batch-*.json    pending batches
+      claims/batch-*.json  leased batches: jobs + worker id + lease deadline
+      requeue/batch-*.json transient reaper staging (recovered if orphaned)
+      failed/<key>.json    terminal failures handed back to the backend
+      workers/<id>.json    per-worker observability stats (session hit rates)
+      manifest/            campaign descriptors + JSONL event streams
+                           (see :mod:`repro.telemetry.manifest`)
+      STOP                 shutdown sentinel for long-lived workers
+
+There is one wire format: every pending, leased and staged file is a
+``batch-<digest>-n<K>.json`` file of K >= 1 jobs carrying
+``jobs: [{key, job, attempts}, ...]``. The job count lives in the name,
+so queue depths never require file reads.
 
 Protocol:
 
-* **enqueue** — write pending files atomically (tmp + rename).
-  ``batch_size=1`` (the default) writes one v1-format file per job,
-  named by the job's content address, so re-enqueueing is idempotent
-  and overlapping campaigns merge. ``batch_size>1`` groups jobs into
-  ``batch-<digest>-n<K>.json`` files — the per-job filesystem round
-  trips of enqueue/claim/lease are amortized over the whole batch.
+* **enqueue** — group fresh jobs into batch files of ``batch_size`` and
+  publish each atomically (tmp + rename). Idempotent by content
+  address: keys already pending or claimed are skipped, so
+  re-enqueueing is harmless and overlapping campaigns merge. Bigger
+  batches amortize the per-job filesystem round trips of
+  enqueue/claim/lease.
 * **claim** — :meth:`claim_batch` takes one pending file under one
-  lease. A batch file is claimed by a single atomic rename into
-  ``claims/`` (exactly one winner per batch, even on NFS); a v1
-  single-job file is claimed with the original ``O_CREAT | O_EXCL``
-  claim-file dance and becomes a batch of one. Either way the lease
-  file carries every job payload, the worker id, the lease deadline
-  and the set of jobs already settled.
+  lease by a single atomic rename into ``claims/`` (exactly one winner
+  per batch, even on NFS). The lease file carries every job payload,
+  the worker id, the lease deadline and the set of jobs already
+  settled.
 * **heartbeat** — atomically rewrite the one lease file with a fresh
   deadline while the batch executes: one heartbeat stream covers every
   job in the batch.
@@ -55,10 +56,10 @@ Protocol:
   point shards and machines already share); the spool itself only
   carries inputs, leases and terminal failures.
 
-Compatibility: a v1 spool directory (no ``spool.json``, per-key pending
-files only) is fully drainable by v2 workers — every v1 file is claimed
-as a batch of one. v2 spools that only ever enqueue with
-``batch_size=1`` are byte-compatible with v1 workers.
+Compatibility: :meth:`Spool.ensure` refuses a directory whose
+``spool.json`` names another protocol version, or that holds pending or
+claimed files with no ``spool.json`` at all (the pre-manifest layout).
+Drain such a spool with the release that wrote it.
 
 A worker that finishes a job after losing its lease simply writes the
 same content-addressed result a second time — execution is a pure
@@ -101,15 +102,15 @@ DEFAULT_LEASE_S = 30.0
 #: the same job (first attempt included).
 DEFAULT_MAX_ATTEMPTS = 3
 
-#: The spool wire-protocol version this code writes (``spool.json``).
-#: Version 1 (implicit: no ``spool.json``) is still fully readable.
-PROTOCOL_VERSION = 2
+#: The spool wire-protocol version this code reads and writes
+#: (``spool.json``). A spool of any other version is refused.
+PROTOCOL_VERSION = 3
 
 #: Hard clamp on jobs per batch file / lease (also the auto-sizing cap).
 MAX_BATCH = 32
 
-#: Batch pending/lease files: ``batch-<digest>-n<jobs>.json``. The job
-#: count lives in the name so queue depths never require file reads.
+#: Pending/lease files: ``batch-<digest>-n<jobs>.json``. The job count
+#: lives in the name so queue depths never require file reads.
 _BATCH_NAME_RE = re.compile(r"^batch-[0-9a-f]+-n(\d+)\.json$")
 
 #: ``deft_spool_batch_size`` buckets: powers of two up to the clamp.
@@ -150,7 +151,6 @@ class BatchClaim:
     worker: str
     deadline: float
     entries: list[BatchEntry]
-    v1: bool             #: lease file uses the v1 single-job wire format
     done: set[str] = field(default_factory=set)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -162,30 +162,13 @@ class BatchClaim:
         return [e for e in self.entries if e.key not in self.done]
 
 
-@dataclass
-class Claim:
-    """Single-job compatibility view over a :class:`BatchClaim`.
-
-    The v1 API (:meth:`Spool.claim` / ``heartbeat`` / ``complete`` /
-    ``requeue_claim``) hands these out; they delegate to the underlying
-    batch lease, so code written against protocol v1 keeps working.
-    """
-
-    key: str
-    job: Job
-    attempts: int  #: 1-based: the attempt this claim is executing
-    worker: str
-    deadline: float
-    batch: BatchClaim | None = None
-
-
 def _write_json(path: Path, payload: dict) -> None:
     """Atomic publish: readers never observe partial files."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))  # one write, not one per token
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -208,25 +191,7 @@ def _read_json(path: Path) -> dict | None:
 def _job_count_of(name: str) -> int:
     """Jobs carried by one pending/lease file, from the name alone."""
     match = _BATCH_NAME_RE.match(name)
-    return int(match.group(1)) if match else 1
-
-
-def _entries_of(payload: dict) -> list[dict]:
-    """Normalize either wire format into a list of per-job dicts.
-
-    v2 batch payloads carry ``jobs: [{key, job, attempts}, ...]``; v1
-    single payloads carry top-level ``job`` + ``attempts`` (the key is
-    the file name, supplied by the caller when needed).
-    """
-    if "jobs" in payload:
-        return [dict(entry) for entry in payload.get("jobs", ())]
-    return [
-        {
-            "key": payload.get("key"),
-            "job": payload["job"],
-            "attempts": int(payload.get("attempts", 0)),
-        }
-    ]
+    return int(match.group(1)) if match else 0
 
 
 class Spool:
@@ -257,7 +222,6 @@ class Spool:
         self.requeue_dir = self.root / "requeue"
         self.failed_dir = self.root / "failed"
         self.workers_dir = self.root / "workers"
-        self._claim_counter = 0
         # Telemetry sink for this spool's own protocol transitions (lease
         # expiries, renewals, requeues). Defaults to the shared no-op; the
         # owning process (worker, backend) wires a real writer via
@@ -265,6 +229,12 @@ class Spool:
         self.events = NULL_EVENTS
 
     def ensure(self) -> "Spool":
+        """Create the layout, or refuse a spool of another protocol.
+
+        A fresh directory gets its ``spool.json`` before any job file
+        can be written to it.
+        """
+        self._check_protocol()
         for directory in (
             self.jobs_dir, self.claims_dir, self.requeue_dir,
             self.failed_dir, self.workers_dir,
@@ -273,29 +243,45 @@ class Spool:
         version_path = self.root / "spool.json"
         if not version_path.exists():
             _write_json(version_path, {"protocol": PROTOCOL_VERSION})
-        else:
-            self._check_protocol()
         ensure_manifest(self.root)
         return self
 
     def _check_protocol(self) -> None:
-        """Refuse spools written by a *newer* protocol than this code.
+        """Raise unless the directory is fresh or speaks this protocol.
 
-        A missing ``spool.json`` means protocol v1 — fully readable, v1
-        pending files are claimed as batches of one.
+        Job files are probed *before* the manifest is read. ``spool.json``
+        is always written before the first job file, so job files with
+        no manifest come from the pre-manifest layout, never from a
+        concurrent first :meth:`ensure`.
         """
+        _fs_ops(2)  # pending + claimed presence probes
+        holds_jobs = any(
+            next(directory.glob("*.json"), None) is not None
+            for directory in (self.jobs_dir, self.claims_dir)
+        )
         version = self.protocol_version()
-        if version > PROTOCOL_VERSION:
-            raise ValueError(
-                f"spool {self.root} uses protocol v{version}; this worker "
-                f"speaks up to v{PROTOCOL_VERSION} — upgrade the worker"
-            )
+        if version == PROTOCOL_VERSION or (version is None and not holds_jobs):
+            return
+        if version is None:
+            version, source = 1, "job files with no spool.json"
+        else:
+            source = "spool.json"
+        hint = (
+            "upgrade the worker"
+            if version > PROTOCOL_VERSION
+            else "drain it with the release that wrote it"
+        )
+        raise ValueError(
+            f"spool {self.root} uses protocol {version} ({source}); this "
+            f"code speaks only protocol {PROTOCOL_VERSION} — {hint}"
+        )
 
-    def protocol_version(self) -> int:
+    def protocol_version(self) -> int | None:
+        """The version ``spool.json`` names; None when there is none."""
         payload = _read_json(self.root / "spool.json")
         if payload is None:
-            return 1
-        return int(payload.get("protocol", 1))
+            return None
+        return int(payload.get("protocol", 0))
 
     def attach_events(self, source: str):
         """Route this spool's protocol events to ``manifest/events/``.
@@ -318,92 +304,14 @@ class Spool:
         failures are environment artefacts and must be retried, exactly
         as the result cache never serves them.
 
-        ``batch_size`` groups jobs into multi-job pending files claimed
-        under a single lease: short jobs batch aggressively to amortize
-        the per-job claim/lease/heartbeat round-trips, long jobs stay at
-        1 so crash requeue keeps per-job granularity. Clamped to
-        [1, ``MAX_BATCH``].
+        ``batch_size`` jobs share one pending file and, once claimed, one
+        lease: short jobs batch aggressively to amortize the per-job
+        claim/lease/heartbeat round-trips, long jobs stay at 1 so crash
+        requeue keeps per-job granularity. Clamped to [1, ``MAX_BATCH``];
+        the last file carries the remainder.
         """
         self.ensure()
         batch_size = max(1, min(int(batch_size), MAX_BATCH))
-        if batch_size == 1:
-            return self._enqueue_singles(jobs)
-        return self._enqueue_batched(jobs, batch_size)
-
-    @staticmethod
-    def _wire_job(job: Job) -> dict:
-        # canonical() excludes the kernel preference (it is not part of
-        # the cache identity); carry it on the wire separately so
-        # workers honour it.
-        payload = job.canonical()
-        if job.kernel != "auto":
-            payload["kernel"] = job.kernel
-        return payload
-
-    def _enqueue_singles(self, jobs) -> int:
-        """v1 wire format: one pending file per job, named by its key.
-
-        Per-key existence probes are the cheap dedup here — but they
-        cannot see keys hidden inside multi-job batch files, so when any
-        batch file is present the batched path (which reads them) takes
-        over with group size 1.
-        """
-        _fs_ops(2)  # batch-file presence probes
-        if any(self.jobs_dir.glob("batch-*.json")) or any(
-            self.claims_dir.glob("batch-*.json")
-        ):
-            return self._enqueue_batched(jobs, 1)
-        enqueued = 0
-        for job in jobs:
-            key = job.key()
-            _fs_ops(2)  # pending + claimed existence probes
-            if (self.jobs_dir / f"{key}.json").exists() or (
-                self.claims_dir / f"{key}.json"
-            ).exists():
-                continue
-            self._clear_failure(key)
-            self._write_single(job)
-            enqueued += 1
-        return enqueued
-
-    def _write_single(self, job: Job) -> None:
-        _write_json(
-            self.jobs_dir / f"{job.key()}.json",
-            {
-                "job": self._wire_job(job),
-                "attempts": 0,
-                "enqueued_at": time.time(),
-            },
-        )
-
-    def _in_flight_keys(self) -> set[str]:
-        """Every key currently pending or claimed (both wire formats).
-
-        One directory scan each plus one read per *file* — amortized
-        over the batch this is far cheaper than the per-job existence
-        probes of the single-file path.
-        """
-        keys: set[str] = set()
-        for directory in (self.jobs_dir, self.claims_dir):
-            _fs_ops()  # directory scan
-            try:
-                names = [p for p in directory.glob("*.json")]
-            except OSError:
-                continue
-            for path in names:
-                if _BATCH_NAME_RE.match(path.name):
-                    payload = _read_json(path)
-                    if payload is None:
-                        continue
-                    for entry in _entries_of(payload):
-                        if entry.get("key"):
-                            keys.add(entry["key"])
-                else:
-                    keys.add(path.name[: -len(".json")])
-        return keys
-
-    def _enqueue_batched(self, jobs, batch_size: int) -> int:
-        """v2 wire format: group fresh jobs into multi-job batch files."""
         in_flight = self._in_flight_keys()
         _fs_ops()  # one failed/ scan replaces per-job unlink attempts
         try:
@@ -423,32 +331,55 @@ class Spool:
             if key in failed_keys:
                 self._clear_failure(key)
             fresh.append(job)
-        enqueued = 0
         for start in range(0, len(fresh), batch_size):
-            group = fresh[start:start + batch_size]
-            if len(group) == 1:
-                # A remainder of one keeps the v1 single-file format —
-                # drainable by v1 workers, and no batch machinery for
-                # a lease that covers a single job anyway. (Dedup
-                # already happened against the gathered in-flight keys.)
-                self._write_single(group[0])
-                enqueued += 1
-                continue
-            entries = [
-                {
-                    "key": job.key(),
-                    "job": self._wire_job(job),
-                    "attempts": 0,
-                }
-                for job in group
-            ]
-            self._write_batch(entries)
-            enqueued += len(group)
-        return enqueued
+            self._write_batch(
+                [
+                    {"key": job.key(), "job": self._wire_job(job), "attempts": 0}
+                    for job in fresh[start:start + batch_size]
+                ]
+            )
+        return len(fresh)
 
-    def _write_batch(self, entries: list[dict]) -> str:
-        """Publish one pending batch file; returns its name."""
-        digest = hashlib.sha256()
+    @staticmethod
+    def _wire_job(job: Job) -> dict:
+        # canonical() excludes the kernel preference (it is not part of
+        # the cache identity); carry it on the wire separately so
+        # workers honour it.
+        payload = job.canonical()
+        if job.kernel != "auto":
+            payload["kernel"] = job.kernel
+        return payload
+
+    def _in_flight_keys(self) -> set[str]:
+        """Every key currently pending or claimed.
+
+        One directory scan each plus one read per *file*, amortized
+        over the jobs each file carries.
+        """
+        keys: set[str] = set()
+        for directory in (self.jobs_dir, self.claims_dir):
+            _fs_ops()  # directory scan
+            try:
+                paths = list(directory.glob("batch-*.json"))
+            except OSError:
+                continue
+            for path in paths:
+                payload = _read_json(path)
+                if payload is None:
+                    continue
+                for entry in payload.get("jobs", ()):
+                    if entry.get("key"):
+                        keys.add(entry["key"])
+        return keys
+
+    def _write_batch(self, entries: list[dict], salt: bytes = b"") -> str:
+        """Publish one pending batch file; returns its id.
+
+        The id digests the job keys, so enqueuers racing on the same
+        fresh jobs overwrite one file instead of publishing two. A
+        ``salt`` makes the id unique (see :meth:`_republish_entries`).
+        """
+        digest = hashlib.sha256(salt)
         for entry in entries:
             digest.update(str(entry["key"]).encode("utf-8"))
         batch_id = f"batch-{digest.hexdigest()[:12]}-n{len(entries)}"
@@ -476,23 +407,23 @@ class Spool:
     ) -> BatchClaim | None:
         """Atomically claim one pending file — all its jobs, one lease.
 
-        A batch file is claimed by a single atomic rename into
-        ``claims/`` (exactly one winner); a v1 single-job file keeps the
-        original ``O_CREAT | O_EXCL`` mutual exclusion and comes back as
-        a batch of one. Returns ``None`` when nothing is claimable.
-        Every claimed job's attempt count is bumped in the lease.
+        The claim is a single atomic rename into ``claims/`` (exactly
+        one winner). Returns ``None`` when nothing is claimable. Every
+        claimed job's attempt count is bumped in the lease.
         """
         now = now if now is not None else time.time()
         _fs_ops()  # pending directory scan
         try:
-            pending = sorted(path.name for path in self.jobs_dir.glob("*.json"))
+            # Names only: this scan runs once per claim over every
+            # pending file, so it skips building a Path per entry.
+            pending = sorted(
+                name for name in os.listdir(self.jobs_dir)
+                if _BATCH_NAME_RE.match(name)
+            )
         except OSError:
             return None
         for name in pending:
-            if _BATCH_NAME_RE.match(name):
-                claimed = self._claim_batch_file(worker, name, now)
-            else:
-                claimed = self._claim_single_file(worker, name, now)
+            claimed = self._claim_batch_file(worker, name, now)
             if claimed is not None:
                 get_registry().histogram(
                     "deft_spool_batch_size",
@@ -505,7 +436,7 @@ class Spool:
     def _claim_batch_file(
         self, worker: str, name: str, now: float
     ) -> BatchClaim | None:
-        """Claim a v2 batch file: one rename is the mutual exclusion."""
+        """Claim one batch file: the rename is the mutual exclusion."""
         staged = self.claims_dir / name
         _fs_ops()
         try:
@@ -525,7 +456,7 @@ class Spool:
         deadline = now + self.lease_s
         entries: list[BatchEntry] = []
         wire_entries: list[dict] = []
-        for raw in _entries_of(payload):
+        for raw in payload.get("jobs", ()):
             attempts = int(raw.get("attempts", 0)) + 1
             try:
                 job = Job.from_canonical(raw["job"])
@@ -549,7 +480,6 @@ class Spool:
             worker=worker,
             deadline=deadline,
             entries=entries,
-            v1=False,
         )
         _write_json(
             staged,
@@ -563,83 +493,6 @@ class Spool:
             },
         )
         return claim
-
-    def _claim_single_file(
-        self, worker: str, name: str, now: float
-    ) -> BatchClaim | None:
-        """Claim a v1 per-key file with the original O_EXCL dance."""
-        payload = _read_json(self.jobs_dir / name)
-        if payload is None:
-            return None
-        key = name[: -len(".json")]
-        deadline = now + self.lease_s
-        attempts = int(payload.get("attempts", 0)) + 1
-        claim_payload = dict(
-            payload,
-            attempts=attempts,
-            worker=worker,
-            claimed_at=now,
-            deadline=deadline,
-        )
-        claim_path = self.claims_dir / name
-        _fs_ops()
-        try:
-            fd = os.open(claim_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except OSError:
-            return None  # lost the race for this key
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(claim_payload, handle)
-        except BaseException:
-            try:
-                claim_path.unlink()
-            except OSError:
-                pass
-            raise
-        _fs_ops()
-        try:
-            (self.jobs_dir / name).unlink()
-        except OSError:
-            pass  # already consumed by a racing reaper; claim stands
-        try:
-            job = Job.from_canonical(claim_payload["job"])
-        except Exception:
-            _fs_ops()
-            try:
-                claim_path.unlink()
-            except OSError:
-                pass
-            return None
-        entry = BatchEntry(key, job, attempts, dict(payload, key=key))
-        return BatchClaim(
-            batch=key,
-            name=name,
-            worker=worker,
-            deadline=deadline,
-            entries=[entry],
-            v1=True,
-        )
-
-    def claim(self, worker: str, now: float | None = None) -> Claim | None:
-        """v1 compatibility API: claim one job.
-
-        Claims one pending file and returns its first job as a
-        :class:`Claim` bound to the underlying batch lease. On spools
-        enqueued with ``batch_size=1`` (the default) this is exactly the
-        protocol-v1 behaviour.
-        """
-        batch = self.claim_batch(worker, now=now)
-        if batch is None:
-            return None
-        entry = batch.remaining[0]
-        return Claim(
-            key=entry.key,
-            job=entry.job,
-            attempts=entry.attempts,
-            worker=worker,
-            deadline=batch.deadline,
-            batch=batch,
-        )
 
     def _rewrite_lease(
         self, claim: BatchClaim, now: float, renew: bool = True
@@ -658,14 +511,13 @@ class Spool:
             if renew:
                 claim.deadline = now + self.lease_s
             payload["deadline"] = claim.deadline
-            if not claim.v1:
-                payload["done"] = sorted(claim.done)
-                # Mirror per-job settlement into the wire entries so a
-                # reaper carries exactly the surviving attempt counts.
-                payload["jobs"] = [
-                    {"key": e.key, "job": e.payload["job"], "attempts": e.attempts}
-                    for e in claim.entries
-                ]
+            payload["done"] = sorted(claim.done)
+            # Mirror per-job settlement into the wire entries so a
+            # reaper carries exactly the surviving attempt counts.
+            payload["jobs"] = [
+                {"key": e.key, "job": e.payload["job"], "attempts": e.attempts}
+                for e in claim.entries
+            ]
             _write_json(path, payload)
             return True
 
@@ -732,7 +584,7 @@ class Spool:
         ]
         if not released:
             return 0
-        self._republish_entries(released, bump=False)
+        self._republish_entries(released)
         with claim.lock:
             claim.done.update(e["key"] for e in released)
             settled = len(claim.done) >= len(claim.entries)
@@ -761,48 +613,8 @@ class Spool:
                     "job": entry.payload["job"],
                     "attempts": entry.attempts,
                 }
-            ],
-            bump=False,
+            ]
         )
-
-    # v1 single-claim compatibility wrappers ------------------------------
-
-    def heartbeat(self, claim: Claim, now: float | None = None) -> None:
-        """Extend a claim's lease (v1 API; delegates to the batch)."""
-        if claim.batch is None:
-            return
-        if self.heartbeat_batch(claim.batch, now=now):
-            claim.deadline = claim.batch.deadline
-
-    def complete(self, claim: Claim) -> None:
-        """Release a finished claim (v1 API; settles it in the batch)."""
-        if claim.batch is None:
-            return
-        self.flush_done(claim.batch, [claim.key])
-
-    def requeue_claim(self, claim: Claim) -> None:
-        """Republish a claimed job for a fresh attempt (failed execution).
-
-        The attempt count carries over, so deterministic failures burn
-        through ``max_attempts`` instead of cycling forever. The caller
-        still holds the claim while this runs (publish-then-release), so
-        no other worker can claim the key before the republish lands.
-        """
-        self.events.emit(
-            "requeue", key=claim.key, attempts=claim.attempts, terminal=False
-        )
-        entry = {
-            "key": claim.key,
-            "job": self._wire_job(claim.job),
-            "attempts": claim.attempts,
-        }
-        self._republish_entries([entry], bump=False)
-        if claim.batch is not None:
-            with claim.batch.lock:
-                claim.batch.done.add(claim.key)
-                settled = len(claim.batch.done) >= len(claim.batch.entries)
-            if settled:
-                self.complete_batch(claim.batch)
 
     # -- crash requeue ----------------------------------------------------
 
@@ -833,7 +645,7 @@ class Spool:
                 os.replace(path, staged)  # single winner per expiry
             except OSError:
                 continue
-            remainder = self._remainder_of(path.name, payload)
+            remainder = self._remainder_of(payload)
             self.events.emit(
                 "lease_expired",
                 key=path.name[: -len(".json")],
@@ -859,21 +671,15 @@ class Spool:
             payload = _read_json(staged)
             if payload is None:
                 continue
-            self._republish_staged(
-                staged, self._remainder_of(staged.name, payload)
-            )
+            self._republish_staged(staged, self._remainder_of(payload))
             acted += 1
         return acted
 
     @staticmethod
-    def _remainder_of(name: str, payload: dict) -> list[dict]:
-        """The unsettled wire entries of one expired lease payload."""
+    def _remainder_of(payload: dict) -> list[dict]:
+        """The unsettled wire entries of one lease payload."""
         done = set(payload.get("done", ()))
-        entries = _entries_of(payload)
-        for entry in entries:
-            if not entry.get("key"):
-                entry["key"] = name[: -len(".json")]
-        return [e for e in entries if e["key"] not in done]
+        return [e for e in payload.get("jobs", ()) if e["key"] not in done]
 
     def _republish_staged(self, staged: Path, remainder: list[dict]) -> None:
         """Second half of a requeue: back to pending, or terminally failed."""
@@ -900,36 +706,22 @@ class Spool:
             else:
                 survivors.append(entry)
         if survivors:
-            self._republish_entries(survivors, bump=False)
+            self._republish_entries(survivors)
         _fs_ops()
         try:
             staged.unlink()
         except OSError:
             pass
 
-    def _republish_entries(self, entries: list[dict], bump: bool) -> None:
-        """Write wire entries back to pending with carried attempts.
+    def _republish_entries(self, entries: list[dict]) -> None:
+        """Write wire entries back to pending as one batch file.
 
-        A single survivor goes back as a v1 per-key file (claimable by
-        anyone); several go back together as one batch file, so a
-        requeued remainder keeps its amortized claim cost.
+        The entries carry their attempt counts, and a requeued remainder
+        keeps its amortized claim cost. The file name is salted so it
+        never equals a lease its publisher still holds: a later claim's
+        rename would replace that lease file, and the holder's release
+        would then delete the new lease.
         """
-        if bump:
-            entries = [
-                dict(entry, attempts=int(entry.get("attempts", 0)) + 1)
-                for entry in entries
-            ]
-        if len(entries) == 1:
-            entry = entries[0]
-            _write_json(
-                self.jobs_dir / f"{entry['key']}.json",
-                {
-                    "job": entry["job"],
-                    "attempts": int(entry.get("attempts", 0)),
-                    "enqueued_at": time.time(),
-                },
-            )
-            return
         self._write_batch(
             [
                 {
@@ -938,7 +730,8 @@ class Spool:
                     "attempts": int(e.get("attempts", 0)),
                 }
                 for e in entries
-            ]
+            ],
+            salt=os.urandom(8),
         )
 
     # -- terminal failures ------------------------------------------------
@@ -1032,7 +825,7 @@ class Spool:
             deadline = payload.get("deadline")
             valid = isinstance(deadline, (int, float))
             batch = payload.get("batch")
-            for entry in self._remainder_of(path.name, payload):
+            for entry in self._remainder_of(payload):
                 snapshot.append(
                     {
                         "key": entry["key"],

@@ -3,7 +3,7 @@
 A worker is the remote half of the ROADMAP's execution model: its warm
 state is exactly one :class:`~repro.runner.session.SessionContext`. It
 attaches to a spool directory and drains the job stream *batch by
-batch* (spool protocol v2): each :meth:`~repro.distributed.spool.Spool.
+batch*: each :meth:`~repro.distributed.spool.Spool.
 claim_batch` takes every job in one pending file under a single lease,
 one heartbeat thread covers the whole batch, and the jobs run back to
 back through the process session so repeated topologies amortize their
@@ -17,13 +17,14 @@ spool's ``max_attempts``; the final failure lands in the spool's
 ``failed/`` directory for the backend to collect.
 
 Telemetry: the worker publishes its stats snapshot
-(``<spool>/workers/<id>.json`` — job counts, session hit rates) after
-every batch *and on every heartbeat*, so even a SIGKILLed worker leaves
-a near-current record behind; and it appends structured events
-(``job_claimed``, ``job_phase``, ``job_finished``, ``worker_heartbeat``,
-plus the spool's own ``lease_renewed``) to its stream under the spool's
-``manifest/events/`` area, from which ``deft status`` reconstructs
-fleet state (see :mod:`repro.telemetry.manifest`).
+(``<spool>/workers/<id>.json`` — job counts, session hit rates) before
+every result flush *and on every heartbeat*, so even a SIGKILLed
+worker leaves a near-current record behind; and it appends structured
+events (``job_claimed``, ``job_phase``, ``job_finished``,
+``worker_heartbeat``, plus the spool's own ``lease_renewed``) to its
+stream under the spool's ``manifest/events/`` area, from which
+``deft status`` reconstructs fleet state (see
+:mod:`repro.telemetry.manifest`).
 
 Exit conditions: the spool's ``STOP`` sentinel, ``max_jobs`` executed,
 or ``idle_timeout_s`` with nothing claimable. Both STOP and ``max_jobs``
@@ -223,7 +224,7 @@ def run_worker(
     def on_beat() -> None:
         # Every heartbeat refreshes the on-disk snapshot AND leaves an
         # event behind: liveness is observable even for a worker that is
-        # SIGKILLed mid-batch and never reaches its per-batch publish.
+        # SIGKILLed mid-batch and never reaches its next flush.
         publish()
         events.emit(
             "worker_heartbeat",
@@ -258,10 +259,9 @@ def run_worker(
             _drain_batch(
                 spool, cache, batch, session,
                 heartbeat=heartbeat, heartbeat_s=heartbeat_s,
-                events=events, on_beat=on_beat,
+                events=events, on_beat=on_beat, on_flush=publish,
                 stats=stats, max_jobs=max_jobs, kernel=kernel,
             )
-            publish()
             idle_since = time.monotonic()
         publish()
     finally:
@@ -279,6 +279,7 @@ def _drain_batch(
     heartbeat_s: float | None = None,
     events=None,
     on_beat: Callable[[], None] | None = None,
+    on_flush: Callable[[], None] | None = None,
     stats: dict | None = None,
     max_jobs: int | None = None,
     kernel: str | None = None,
@@ -294,6 +295,7 @@ def _drain_batch(
 
     STOP and ``max_jobs`` are checked between jobs; the unexecuted
     remainder is released back to pending with pre-claim attempt counts.
+    ``on_flush`` (the worker's stats publisher) runs before every flush.
 
     Emits ``job_claimed``, ``job_phase`` (setup/compile/simulate/cache
     wall-clock splits) and ``job_finished`` per job when ``events`` is
@@ -317,6 +319,10 @@ def _drain_batch(
         nonlocal last_flush
         if not force and time.perf_counter() - last_flush < flush_s:
             return
+        if on_flush is not None:
+            # Stats go out first, so a reader who sees a result in the
+            # cache also sees it counted in the published stats.
+            on_flush()
         if pending_puts:
             cache.put_many(pending_puts)
             pending_puts.clear()

@@ -8,9 +8,12 @@ Two sub-experiments built on :mod:`repro.montecarlo`:
   every k the exact Fig. 7 average must fall inside the sampled mean's
   confidence interval. This is the statistical contract that licenses
   the Monte Carlo numbers wherever exact enumeration is infeasible.
-* :func:`fig7mc_scale` — the extension the exact path cannot provide:
-  fault counts beyond Fig. 7's k = 8 on a COLSxROWS chiplet grid
-  (3x2 of 4x4 chiplets, 56 directed VL channels).
+* :func:`fig7mc_scale` — the sampler at a larger scale: fault counts
+  beyond Fig. 7's k = 8 on a COLSxROWS chiplet grid (3x2 of 4x4
+  chiplets, 56 directed VL channels). The exact path covers this grid
+  too: :func:`~repro.analysis.reachability.reachability_curve` gives
+  k = 2..12 in well under a second per algorithm, so these sampled
+  numbers have exact values to be checked against.
 
 Both emit their samples as one campaign through the runner, so
 ``deft experiment fig7mc --workers N --cache-dir DIR`` parallelizes and

@@ -227,79 +227,37 @@ def random_stratified_fault_state(
     system: System,
     composition: Sequence[int],
     rng: random.Random,
-    max_tries: int = 10_000,
 ) -> FaultState:
-    """Sample a pattern with fixed per-chiplet directed-fault counts.
+    """Sample a pattern with fixed per-chiplet, per-direction fault counts.
 
-    Two composition layouts are accepted for a system of M chiplets:
+    For a system of M chiplets the composition has length 2M:
+    ``composition[2c]`` down faults and ``composition[2c + 1]`` up
+    faults on chiplet ``c`` — the layout
+    :func:`repro.montecarlo.strata.enumerate_strata` produces.
+    Admissibility (at least one alive channel per direction) is then a
+    property of the composition itself (``d < V`` and ``u < V``), so each
+    direction's channels are drawn *directly* — no rejection loop —
+    uniformly over the chiplet's size-``d`` down and size-``u`` up
+    subsets.
 
-    * **Split (length 2M)** — ``composition[2c]`` down faults and
-      ``composition[2c + 1]`` up faults on chiplet ``c``. Admissibility
-      (at least one alive channel per direction) is then a property of
-      the composition itself (``d < V`` and ``u < V``), so each
-      direction's channels are drawn *directly* — no rejection loop —
-      uniformly over the chiplet's size-``d`` down and size-``u`` up
-      subsets. This is the layout :func:`repro.montecarlo.strata.\\
-      enumerate_strata` produces.
-    * **Totals (length M)** — ``composition[c]`` faulty directed
-      channels on chiplet ``c``, drawn uniformly over the chiplet's
-      admissible local patterns by rejection.
+    The disconnection exclusion factorizes per chiplet, so drawing every
+    chiplet independently yields a uniform sample over the admissible
+    global patterns *within the stratum* — exactly the conditional
+    distribution the stratified estimator weights by its exact
+    combinatorial stratum probability.
 
-    Either way the disconnection exclusion factorizes per chiplet, so
-    drawing every chiplet independently yields a uniform sample over the
-    admissible global patterns *within the stratum* — exactly the
-    conditional distribution the stratified estimator weights by its
-    exact combinatorial stratum probability.
-
-    Chiplets are drawn in index order (downs before ups in the split
-    layout) from the single ``rng`` stream, so the pattern is a pure
-    function of ``(composition, rng state)``.
+    Chiplets are drawn in index order, downs before ups, from the single
+    ``rng`` stream, so the pattern is a pure function of
+    ``(composition, rng state)``.
     """
     num_chiplets = system.spec.num_chiplets
-    if len(composition) == 2 * num_chiplets:
-        return _split_stratified_state(system, composition, rng)
-    if len(composition) != num_chiplets:
+    if len(composition) != 2 * num_chiplets:
         raise FaultModelError(
             f"composition has {len(composition)} entries, expected "
-            f"{num_chiplets} per-chiplet totals or {2 * num_chiplets} "
-            "per-direction counts"
+            f"{2 * num_chiplets} per-direction counts"
         )
     faults: list[DirectedVL] = []
-    for chiplet, count in enumerate(composition):
-        links = system.vls_of_chiplet(chiplet)
-        if count < 0 or count > 2 * len(links):
-            raise FaultModelError(
-                f"chiplet {chiplet} has {2 * len(links)} directed channels, "
-                f"cannot fault {count}"
-            )
-        if count == 0:
-            continue
-        channels = [
-            DirectedVL(link.index, direction)
-            for link in links
-            for direction in (VLDirection.DOWN, VLDirection.UP)
-        ]
-        down = frozenset(c for c in channels if c.direction is VLDirection.DOWN)
-        up = frozenset(c for c in channels if c.direction is VLDirection.UP)
-        for _ in range(max_tries):
-            drawn = frozenset(rng.sample(channels, count))
-            if not (down <= drawn or up <= drawn):
-                faults.extend(sorted(drawn))
-                break
-        else:
-            raise FaultModelError(
-                f"no admissible {count}-fault pattern on chiplet {chiplet} "
-                f"found in {max_tries} tries"
-            )
-    return FaultState(system, faults)
-
-
-def _split_stratified_state(
-    system: System, composition: Sequence[int], rng: random.Random
-) -> FaultState:
-    """Direct (rejection-free) draw for a per-direction composition."""
-    faults: list[DirectedVL] = []
-    for chiplet in range(system.spec.num_chiplets):
+    for chiplet in range(num_chiplets):
         links = system.vls_of_chiplet(chiplet)
         down_count = composition[2 * chiplet]
         up_count = composition[2 * chiplet + 1]

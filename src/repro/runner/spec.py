@@ -213,10 +213,9 @@ class Job:
             stratum coordinates of a stratified Monte Carlo sample).
             When set, the executor draws a pattern with exactly these
             counts (uniform over the stratum's admissible patterns):
-            with one entry per chiplet the counts are per-chiplet
-            totals; with two entries per chiplet they are per-direction
-            ``(down, up)`` pairs — the layout
-            :func:`repro.montecarlo.strata.enumerate_strata` produces.
+            two entries per chiplet, the per-direction ``(down, up)``
+            pairs :func:`repro.montecarlo.strata.enumerate_strata`
+            produces.
             The RNG is seeded by
             ``(seed, fault_k, fault_stratum, fault_sample)`` —
             ``fault_sample`` is then the ordinal *within the stratum*.

@@ -175,9 +175,9 @@ def reconstruct(
         elif event == "job_finished":
             trace = open_by_key.get(key)
             if trace is None or trace.finished:
-                # A finish with no observed claim (stream from a v1
-                # spool, or a truncated segment): synthesise the root
-                # from duration so the job still appears.
+                # A finish with no observed claim (a truncated or
+                # rotated-away segment): synthesise the root from
+                # duration so the job still appears.
                 duration = float(record.get("duration_s", 0.0))
                 trace = JobTrace(
                     key=key,

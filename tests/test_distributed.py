@@ -76,34 +76,35 @@ class TestSpoolProtocol:
         # Idempotent by content address.
         assert spool.enqueue(jobs) == 0
 
-        claim = spool.claim("w1")
-        assert claim is not None
-        assert claim.attempts == 1
+        claim = spool.claim_batch("w1")
+        assert claim is not None and len(claim) == 1
+        (entry,) = claim.entries
+        assert entry.attempts == 1
         # The round-tripped job is canonically one of ours (same content
         # address; object equality differs in the applied config seed).
-        assert claim.job.key() in {job.key() for job in jobs}
+        assert entry.job.key() in {job.key() for job in jobs}
         assert spool.pending_count() == 2
         assert spool.claimed_count() == 1
 
-        spool.complete(claim)
+        spool.flush_done(claim, [entry.key])
         assert spool.claimed_count() == 0
 
     def test_claim_is_exclusive(self, tmp_path):
         jobs = reachability_jobs(2)
         spool = Spool(tmp_path)
         spool.enqueue(jobs)
-        first = spool.claim("w1")
-        second = spool.claim("w2")
-        third = spool.claim("w3")
+        first = spool.claim_batch("w1")
+        second = spool.claim_batch("w2")
+        third = spool.claim_batch("w3")
         assert first is not None and second is not None
-        assert first.key != second.key
+        assert first.entries[0].key != second.entries[0].key
         assert third is None  # queue drained
 
     def test_claimed_key_not_reenqueued(self, tmp_path):
         jobs = reachability_jobs(1)
         spool = Spool(tmp_path)
         spool.enqueue(jobs)
-        claim = spool.claim("w1")
+        claim = spool.claim_batch("w1")
         assert claim is not None
         assert spool.enqueue(jobs) == 0
         assert spool.pending_count() == 0
@@ -114,7 +115,7 @@ class TestSpoolProtocol:
         jobs = reachability_jobs(1)
         spool = Spool(tmp_path, lease_s=5.0)
         spool.enqueue(jobs)
-        claim = spool.claim("doomed")
+        claim = spool.claim_batch("doomed")
         assert claim is not None and spool.pending_count() == 0
 
         # Not expired yet: nothing happens.
@@ -125,18 +126,18 @@ class TestSpoolProtocol:
         assert spool.claimed_count() == 0
         assert spool.pending_count() == 1
 
-        again = spool.claim("w2")
+        again = spool.claim_batch("w2")
         assert again is not None
-        assert again.attempts == 2
-        assert again.job.key() == claim.job.key()
+        assert again.entries[0].attempts == 2
+        assert again.entries[0].job.key() == claim.entries[0].job.key()
 
     def test_heartbeat_extends_lease(self, tmp_path):
         jobs = reachability_jobs(1)
         spool = Spool(tmp_path, lease_s=5.0)
         spool.enqueue(jobs)
-        claim = spool.claim("w1")
+        claim = spool.claim_batch("w1")
         original_deadline = claim.deadline
-        spool.heartbeat(claim, now=original_deadline - 1.0)
+        spool.heartbeat_batch(claim, now=original_deadline - 1.0)
         assert claim.deadline > original_deadline
         assert spool.requeue_expired(now=original_deadline + 1.0) == 0
 
@@ -146,7 +147,7 @@ class TestSpoolProtocol:
         spool = Spool(tmp_path, lease_s=5.0, max_attempts=2)
         spool.enqueue(jobs)
         for _ in range(2):
-            claim = spool.claim("flaky")
+            claim = spool.claim_batch("flaky")
             assert claim is not None
             spool.requeue_expired(now=claim.deadline + 1.0)
         assert spool.pending_count() == 0
@@ -159,7 +160,7 @@ class TestSpoolProtocol:
         key = jobs[0].key()
         spool = Spool(tmp_path, lease_s=5.0, max_attempts=1)
         spool.enqueue(jobs)
-        claim = spool.claim("w1")
+        claim = spool.claim_batch("w1")
         spool.requeue_expired(now=claim.deadline + 1.0)
         assert spool.failed_result(key) is not None
         # A new campaign retries the key: the stale failure must go.
@@ -327,15 +328,16 @@ class TestSpoolBackend:
             # backend waiting well past the stall window...
             backend.spool.ensure()
             backend.spool.enqueue(jobs[:1])
-            claim = backend.spool.claim("remote-worker")
+            claim = backend.spool.claim_batch("remote-worker")
             assert claim is not None
+            (entry,) = claim.entries
             import threading
 
             def finish_later():
                 time.sleep(0.8)  # > stall_timeout_s
-                result = serial_results([claim.job])[0]
-                cache.put(claim.job, result)
-                backend.spool.complete(claim)
+                result = serial_results([entry.job])[0]
+                cache.put(entry.job, result)
+                backend.spool.flush_done(claim, [entry.key])
 
             finisher = threading.Thread(target=finish_later, daemon=True)
             finisher.start()

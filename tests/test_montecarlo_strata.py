@@ -110,16 +110,6 @@ class TestStratifiedFaultSampler:
         b = random_stratified_fault_state(system4, composition, random.Random(3))
         assert a.faults == b.faults
 
-    def test_totals_layout_still_supported(self, system4):
-        state = random_stratified_fault_state(
-            system4, (3, 0, 2, 1), random.Random(1)
-        )
-        counts = [
-            len(state.chiplet_down_pattern(c)) + len(state.chiplet_up_pattern(c))
-            for c in range(4)
-        ]
-        assert counts == [3, 0, 2, 1]
-
     def test_disconnecting_direction_count_rejected(self, system4):
         # 4 down faults on a 4-VL chiplet would disconnect it.
         with pytest.raises(FaultModelError):
@@ -130,6 +120,9 @@ class TestStratifiedFaultSampler:
     def test_wrong_length_rejected(self, system4):
         with pytest.raises(FaultModelError):
             random_stratified_fault_state(system4, (1, 1, 0), random.Random(0))
+        # One total per chiplet is not a stratum layout either.
+        with pytest.raises(FaultModelError, match="expected 8"):
+            random_stratified_fault_state(system4, (3, 0, 2, 1), random.Random(0))
 
     def test_split_draw_is_conditionally_uniform(self, system4):
         """Every pattern of a small stratum appears at plausible frequency."""

@@ -1,11 +1,11 @@
-"""Spool protocol v2: batched leases, remainder requeue, v1 compat.
+"""Spool protocol v3: batched leases, remainder requeue, version refusal.
 
-The equality bar is unchanged from protocol v1 — *bit-identical to
-SerialBackend* no matter how jobs are grouped under leases, crashed
-mid-batch, or requeued — plus the new invariants batching introduces:
-a settled job's result is always durable before the lease says so, a
-crash requeues exactly the unsettled remainder (once, with carried
-attempt counts), and v1 spool directories stay drainable.
+The equality bar is *bit-identical to SerialBackend* no matter how jobs
+are grouped under leases, crashed mid-batch, or requeued — plus the
+invariants batching introduces: a settled job's result is always
+durable before the lease says so, a crash requeues exactly the
+unsettled remainder (once, with carried attempt counts), and a spool
+directory of any other protocol version is refused, never misread.
 """
 
 import json
@@ -76,16 +76,16 @@ class TestBatchedEnqueue:
         assert spool.enqueue(jobs, batch_size=4) == 3
         assert spool.pending_count() == 8
 
-    def test_remainder_of_one_uses_v1_single_file(self, tmp_path):
+    def test_remainder_of_one_is_an_n1_batch_file(self, tmp_path):
         jobs = reachability_jobs(5)
         spool = Spool(tmp_path)
         spool.enqueue(jobs, batch_size=4)
-        singles = [
-            path.name
-            for path in spool.jobs_dir.glob("*.json")
-            if not path.name.startswith("batch-")
-        ]
-        assert len(singles) == 1  # the 5th job, claimable by v1 workers
+        names = batch_files(spool)
+        assert names == sorted(path.name for path in spool.jobs_dir.glob("*.json"))
+        singles = [name for name in names if name.endswith("-n1.json")]
+        assert len(singles) == 1  # the 5th job
+        (single,) = json.loads((spool.jobs_dir / singles[0]).read_text())["jobs"]
+        assert single["key"] == jobs[4].key() and single["attempts"] == 0
         assert spool.pending_count() == 5
 
     def test_batch_size_clamped(self, tmp_path):
@@ -97,10 +97,15 @@ class TestBatchedEnqueue:
             assert len(payload["jobs"]) <= MAX_BATCH
 
     def test_spool_manifest_records_protocol_version(self, tmp_path):
+        assert Spool(tmp_path).protocol_version() is None
         spool = Spool(tmp_path).ensure()
         assert spool.protocol_version() == PROTOCOL_VERSION
         manifest = json.loads((tmp_path / "spool.json").read_text())
         assert manifest["protocol"] == PROTOCOL_VERSION
+        # An empty directory without a manifest is fresh, not pre-v3.
+        (tmp_path / "empty" / "jobs").mkdir(parents=True)
+        empty = Spool(tmp_path / "empty").ensure()
+        assert empty.protocol_version() == PROTOCOL_VERSION
 
     def test_future_protocol_version_refused(self, tmp_path):
         Spool(tmp_path).ensure()
@@ -109,6 +114,35 @@ class TestBatchedEnqueue:
         )
         with pytest.raises(ValueError, match="upgrade the worker"):
             Spool(tmp_path).ensure()
+
+    def test_pre_v3_spool_refused(self, tmp_path):
+        """Spools of an older protocol are refused, with the version
+        found named in the error — never drained in a format this code
+        no longer writes."""
+        (job,) = reachability_jobs(1)
+        # Pre-manifest layout: a per-key pending file and no spool.json.
+        v1 = tmp_path / "v1"
+        (v1 / "jobs").mkdir(parents=True)
+        (v1 / "jobs" / f"{job.key()}.json").write_text(
+            json.dumps({"job": job.canonical(), "attempts": 0})
+        )
+        assert Spool(v1).protocol_version() is None
+        with pytest.raises(ValueError, match="protocol 1 "):
+            Spool(v1).ensure()
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match="protocol 1 "):
+            run_worker(v1, cache, idle_timeout_s=0.2)
+        assert (v1 / "jobs" / f"{job.key()}.json").exists()  # untouched
+
+        # A manifest naming protocol 2.
+        v2 = tmp_path / "v2"
+        Spool(v2).enqueue([job])
+        (v2 / "spool.json").write_text(json.dumps({"protocol": 2}))
+        assert Spool(v2).protocol_version() == 2
+        with pytest.raises(ValueError, match="protocol 2 "):
+            Spool(v2).ensure()
+        with pytest.raises(ValueError, match="protocol 2 "):
+            Spool(v2).enqueue([job])
 
 
 class TestBatchClaim:
@@ -127,14 +161,32 @@ class TestBatchClaim:
         assert spool.claimed_count() == 4
         assert spool.pending_count() == 0
 
-    def test_batch_claim_is_single_winner(self, tmp_path):
-        jobs = reachability_jobs(4)
+    @pytest.mark.parametrize("batch_size", [4, 1])
+    def test_batch_claim_is_single_winner(self, tmp_path, batch_size):
+        jobs = reachability_jobs(batch_size)
         spool = Spool(tmp_path)
-        spool.enqueue(jobs, batch_size=4)
+        spool.enqueue(jobs, batch_size=batch_size)
         first = spool.claim_batch("w1")
         second = spool.claim_batch("w2")
-        assert first is not None and len(first) == 4
+        assert first is not None and len(first) == batch_size
         assert second is None
+
+    def test_requeue_under_held_lease_never_replaces_it(self, tmp_path):
+        """A failed batch-of-one job is republished while its lease is
+        still held: the reclaim must land beside that lease, so the
+        holder's release cannot delete the new lease."""
+        jobs = reachability_jobs(1)
+        spool = Spool(tmp_path)
+        spool.enqueue(jobs)
+        first = spool.claim_batch("w1")
+        (entry,) = first.entries
+        spool.requeue_entry(first, entry)
+        second = spool.claim_batch("w2")
+        assert second is not None and second.name != first.name
+        assert second.entries[0].attempts == 2
+        spool.flush_done(first, [entry.key])  # w1 settles and releases
+        assert [p.name for p in spool.claims_dir.glob("*.json")] == [second.name]
+        assert spool.heartbeat_batch(second)
 
     def test_claimed_batch_keys_not_reenqueued(self, tmp_path):
         jobs = reachability_jobs(4)
@@ -371,24 +423,6 @@ class TestBatchWorker:
         assert failed is not None and "ConfigurationError" in failed.error
         assert cache.get(bad) is None
         assert [cache.get(job) for job in good] == serial_results(good)
-
-    def test_v1_spool_drainable_by_v2_worker(self, tmp_path):
-        """A spool written before the version manifest existed (per-key
-        pending files, no spool.json) drains as batches of one."""
-        jobs = reachability_jobs(3)
-        reference = serial_results(jobs)
-        spool = Spool(tmp_path / "spool").ensure()
-        spool.enqueue(jobs)  # v1 wire format
-        (spool.root / "spool.json").unlink()  # pre-v2 directory
-        assert Spool(tmp_path / "spool").protocol_version() == 1
-
-        cache = ResultCache(tmp_path / "cache")
-        stats = run_worker(
-            spool.root, cache, worker_id="modern", idle_timeout_s=0.2
-        )
-        assert stats["jobs_done"] == 3
-        assert stats["batches_claimed"] == 3  # one lease per v1 file
-        assert [cache.get(job) for job in jobs] == reference
 
 
 class TestPutMany:

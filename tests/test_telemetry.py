@@ -264,23 +264,25 @@ class TestFleetStatus:
         spool.enqueue(jobs)
 
         # Job 0: done (executed straight into the cache, claim released).
-        done_claim = spool.claim("alive-worker")
-        result = SerialBackend().run([done_claim.job])[0]
-        cache.put(done_claim.job, result)
-        spool.complete(done_claim)
+        done_claim = spool.claim_batch("alive-worker")
+        (done,) = done_claim.entries
+        result = SerialBackend().run([done.job])[0]
+        cache.put(done.job, result)
+        spool.flush_done(done_claim, [done.key])
         # Job 1: terminal failure.
-        failed_claim = spool.claim("alive-worker")
+        failed_claim = spool.claim_batch("alive-worker")
+        (failed,) = failed_claim.entries
         from repro.runner.result import JobResult
 
         spool.record_failure(
-            failed_claim.key,
-            JobResult(job_key=failed_claim.key, ok=False, error="boom"),
+            failed.key,
+            JobResult(job_key=failed.key, ok=False, error="boom"),
             attempts=3,
         )
-        spool.complete(failed_claim)
+        spool.flush_done(failed_claim, [failed.key])
         # Job 2: claimed by a worker that died — lease already expired.
         now = time.time()
-        stale_claim = spool.claim("dead-worker", now=now - 100.0)
+        stale_claim = spool.claim_batch("dead-worker", now=now - 100.0)
         assert stale_claim.deadline < now
         # Job 3 stays pending.
 
@@ -294,9 +296,9 @@ class TestFleetStatus:
             "jobs_done": 0, "jobs_failed": 0, "session": {},
         })
         with event_writer(spool_dir, "alive-worker") as events:
-            events.emit("job_finished", key=done_claim.key, worker="alive-worker",
+            events.emit("job_finished", key=done.key, worker="alive-worker",
                         ok=True, cached=False, duration_s=0.25, attempts=1)
-            events.emit("job_phase", key=done_claim.key, worker="alive-worker",
+            events.emit("job_phase", key=done.key, worker="alive-worker",
                         setup_s=0.05, compile_s=0.1, simulate_s=0.1, cache_s=0.0)
 
         status = fleet_status(spool_dir, cache_dir=cache_dir, now=now)
@@ -304,7 +306,7 @@ class TestFleetStatus:
         assert status["spool"]["claimed"] == 1
         assert status["spool"]["failed"] == 1
         assert status["leases"]["stale"] == 1
-        assert status["leases"]["stale_keys"] == [stale_claim.key]
+        assert status["leases"]["stale_keys"] == [stale_claim.entries[0].key]
         assert status["leases"]["active"] == 0
         assert status["workers"]["alive"] == 1
         assert status["workers"]["dead"] == 1
@@ -442,7 +444,7 @@ class TestThreading:
         spool = Spool(tmp_path, lease_s=5.0, max_attempts=2).ensure()
         spool.attach_events("reaper-test")
         spool.enqueue(jobs)
-        claim = spool.claim("doomed")
+        claim = spool.claim_batch("doomed")
         assert spool.requeue_expired(now=claim.deadline + 1.0) == 1
         spool.events.close()
         records = list(read_all_events(tmp_path))
@@ -703,7 +705,7 @@ class TestHealthProbe:
         capsys.readouterr()
 
         # expire a lease -> unhealthy exit 1 with a reason on stderr
-        spool.claim("dead-worker", now=time.time() - 100.0)
+        spool.claim_batch("dead-worker", now=time.time() - 100.0)
         assert main(["status", str(spool_dir), "--check"]) == 1
         captured = capsys.readouterr()
         assert "unhealthy: " in captured.err and "stale lease" in captured.err

@@ -1,7 +1,7 @@
 """Trace reconstruction: event streams -> span trees -> Chrome JSON.
 
 Synthetic streams pin the stitching semantics exactly (phase layout,
-clamping, requeue/renewal instants, campaign filtering, v1-stream
+clamping, requeue/renewal instants, campaign filtering, truncated-stream
 finish-without-claim synthesis); one real drained spool proves the
 acceptance property — claim/setup/compile/simulate/publish spans for
 every job, monotonic, loadable as Catapult ``trace_event`` JSON.
