@@ -8,7 +8,7 @@ exact DP evaluator itself (it replaces a 10.5M-pattern enumeration).
 
 import pytest
 
-from repro.analysis.reachability import average_reachability, worst_reachability
+from repro.analysis.reachability import reachability_curve
 from repro.experiments import fig7
 from repro.routing.mtr import MtrRouting
 from repro.topology.presets import baseline_4_chiplets
@@ -35,10 +35,8 @@ def test_exact_dp_evaluator_speed(benchmark):
     algorithm = MtrRouting(system)
 
     def evaluate():
-        return (
-            average_reachability(system, algorithm, 8),
-            worst_reachability(system, algorithm, 8),
-        )
+        curve = reachability_curve(system, algorithm, (8,))
+        return curve.average[0], curve.worst[0]
 
     avg, worst = benchmark(evaluate)
     assert worst <= avg <= 1.0

@@ -12,7 +12,7 @@ Run:  python examples/custom_topology.py
 
 from repro import DeftRouting, SimulationConfig, Simulator, build_system
 from repro.analysis.cdg import build_cdg
-from repro.analysis.reachability import average_reachability, worst_reachability
+from repro.analysis.reachability import reachability_curve
 from repro.topology.spec import ChipletSpec, SystemSpec
 from repro.traffic.synthetic import TransposeTraffic
 
@@ -47,9 +47,8 @@ def main() -> None:
     print(f"CDG acyclic on the custom floorplan: {report.is_acyclic}")
 
     # Reachability under faults, exact.
-    for k in (2, 6):
-        avg = average_reachability(system, algorithm, k)
-        worst = worst_reachability(system, algorithm, k)
+    curve = reachability_curve(system, algorithm, (2, 6))
+    for k, avg, worst in zip(curve.fault_counts, curve.average, curve.worst):
         print(f"reachability with {k} faulty VLs: avg {avg * 100:.1f}%, "
               f"worst {worst * 100:.1f}%")
 

@@ -15,12 +15,14 @@ same quantities *exactly* by decomposition:
 2. Per chiplet, enumerate every local fault pattern (2^V - 1 admissible
    down patterns x 2^V - 1 up patterns) and record ``S(p)`` = number of
    senders alive and ``D(q)`` = number of deliverable destinations.
+   These profiles do not depend on k, so a curve builds them once.
 3. The number of reachable cross pairs for a global pattern is
-   ``(sum_A S_A)(sum_B D_B) - sum_A S_A * D_A``. Averages over all
-   k-fault patterns follow from a chiplet-by-chiplet convolution that
-   tracks the moment sums (count, sum S, sum D, sum S*sum D, sum S*D);
-   the worst case follows from a DP over (faults, sum S, sum D) keeping
-   the minimal sum of per-chiplet S*D products.
+   ``(sum_A S_A)(sum_B D_B) - sum_A S_A * D_A``. One convolution/DP pass
+   serves every k: a chiplet-by-chiplet convolution up to the largest k
+   tracks the moment sums (count, sum S, sum D, sum S*sum D, sum S*D)
+   per fault count, which give the averages; a DP over (faults, sum S,
+   sum D) keeping the minimal sum of per-chiplet S*D products gives the
+   worst cases.
 
 Both are exact; :func:`brute_force_reachability` and
 :func:`monte_carlo_reachability` exist to validate them on small k.
@@ -32,16 +34,11 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
-
 from ..errors import FaultModelError
-from ..fault.model import DirectedVL, FaultState, VLDirection, all_fault_patterns
+from ..fault.model import FaultState, VLDirection, all_fault_patterns
 from ..routing.base import RoutingAlgorithm
+from ..routing.compiled import CompiledRoutes, count_routable
 from ..topology.builder import System
-from ..topology.geometry import INTERPOSER_LAYER
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..routing.compiled import CompiledRoutes
 
 
 @dataclass(frozen=True)
@@ -57,41 +54,28 @@ class _ChipletState:
 class _ChipletProfile:
     """Per-chiplet enumeration of fault patterns -> (S, D) signatures."""
 
-    def __init__(self, system: System, algorithm: RoutingAlgorithm, chiplet: int,
-                 witness_src: int, witness_dst: int):
-        self.chiplet = chiplet
-        links = system.vls_of_chiplet(chiplet)
-        routers = [r.id for r in system.chiplet_routers(chiplet)]
-        self.num_routers = len(routers)
-        num_vls = len(links)
-        # S(p) for every admissible down pattern p (p != full set).
-        self.senders: dict[frozenset[int], int] = {}
-        # D(q) for every admissible up pattern q.
-        self.receivers: dict[frozenset[int], int] = {}
-        original = algorithm.fault_state
-        try:
-            for size in range(num_vls):
-                for combo in itertools.combinations(range(num_vls), size):
-                    pattern = frozenset(combo)
-                    down_faults = [
-                        DirectedVL(links[i].index, VLDirection.DOWN) for i in combo
-                    ]
-                    algorithm.set_fault_state(FaultState(system, down_faults))
-                    self.senders[pattern] = sum(
-                        1 for r in routers if algorithm.is_routable(r, witness_dst)
-                    )
-                    up_faults = [
-                        DirectedVL(links[i].index, VLDirection.UP) for i in combo
-                    ]
-                    algorithm.set_fault_state(FaultState(system, up_faults))
-                    self.receivers[pattern] = sum(
-                        1 for r in routers if algorithm.is_routable(witness_src, r)
-                    )
-        finally:
-            algorithm.set_fault_state(original)
+    def __init__(self, algorithm: RoutingAlgorithm, chiplet: int):
+        num_vls = len(algorithm.system.vls_of_chiplet(chiplet))
+        # Every admissible local pattern: any subset but the full set.
+        patterns = [
+            frozenset(combo)
+            for size in range(num_vls)
+            for combo in itertools.combinations(range(num_vls), size)
+        ]
+        # S(p) for every down pattern p, D(q) for every up pattern q.
+        self.senders = {
+            p: count_routable(algorithm, chiplet, p, VLDirection.DOWN) for p in patterns
+        }
+        self.receivers = {
+            q: count_routable(algorithm, chiplet, q, VLDirection.UP) for q in patterns
+        }
 
     def states(self) -> list[_ChipletState]:
-        """All (down, up) pattern combinations, collapsed by signature."""
+        """All (down, up) pattern combinations, collapsed by signature.
+
+        Sorted by fault count first, which the convolution and DP use to
+        stop early.
+        """
         collapsed: dict[tuple[int, int, int], int] = {}
         for p, s in self.senders.items():
             for q, d in self.receivers.items():
@@ -103,19 +87,6 @@ class _ChipletProfile:
         ]
 
 
-def _profiles(system: System, algorithm: RoutingAlgorithm) -> list[_ChipletProfile]:
-    """Build per-chiplet profiles, using witnesses on a different chiplet."""
-    num_chiplets = system.spec.num_chiplets
-    if num_chiplets < 2:
-        raise FaultModelError("reachability analysis needs at least two chiplets")
-    profiles = []
-    for chiplet in range(num_chiplets):
-        other = (chiplet + 1) % num_chiplets
-        witness = system.chiplet_routers(other)[0].id
-        profiles.append(_ChipletProfile(system, algorithm, chiplet, witness, witness))
-    return profiles
-
-
 def _pair_totals(system: System) -> tuple[int, int]:
     """(intra-chiplet ordered pairs, total ordered core pairs)."""
     sizes = [len(system.chiplet_routers(c)) for c in range(system.spec.num_chiplets)]
@@ -125,35 +96,28 @@ def _pair_totals(system: System) -> tuple[int, int]:
     return intra, total
 
 
-# ---------------------------------------------------------------------------
-# exact average
-# ---------------------------------------------------------------------------
+def _moments(states: list[list[_ChipletState]], max_f: int) -> list[list[float]]:
+    """Moment sums per running fault count, for every count up to ``max_f``.
 
-def average_reachability(
-    system: System, algorithm: RoutingAlgorithm, num_faults: int
-) -> float:
-    """Exact mean reachability over all admissible ``num_faults`` patterns.
-
-    Convolves per-chiplet states while tracking, for every running fault
-    count: the pattern count W, the sums of ``sum S`` (P), ``sum D`` (Q),
+    Convolves per-chiplet states while tracking, for every fault count:
+    the pattern count W, the sums of ``sum S`` (P), ``sum D`` (Q),
     ``(sum S)(sum D)`` (X) and ``sum S*D`` (Y). The expected number of
-    reachable cross pairs is ``(X - Y) / W`` at ``num_faults``.
+    reachable cross pairs at k faults is ``(X - Y) / W`` of row k. Row k
+    receives the same additions in the same order whatever ``max_f``.
     """
-    profiles = _profiles(system, algorithm)
-    max_f = num_faults
     # moments[f] = [W, P, Q, X, Y]
     moments: list[list[float]] = [[0.0] * 5 for _ in range(max_f + 1)]
     moments[0][0] = 1.0
-    for profile in profiles:
+    for chiplet_states in states:
         nxt: list[list[float]] = [[0.0] * 5 for _ in range(max_f + 1)]
         for f in range(max_f + 1):
             W, P, Q, X, Y = moments[f]
             if W == 0 and P == 0 and Q == 0 and X == 0 and Y == 0:
                 continue
-            for state in profile.states():
+            for state in chiplet_states:
                 nf = f + state.faults
                 if nf > max_f:
-                    continue
+                    break
                 c, s, d = state.count, state.senders, state.receivers
                 row = nxt[nf]
                 row[0] += c * W
@@ -162,55 +126,103 @@ def average_reachability(
                 row[3] += c * (X + s * Q + d * P + s * d * W)
                 row[4] += c * (Y + s * d * W)
         moments = nxt
-    W, _, _, X, Y = moments[num_faults]
-    if W == 0:
-        raise FaultModelError(
-            f"no admissible fault pattern with {num_faults} faults"
-        )
-    intra, total = _pair_totals(system)
-    expected_cross = (X - Y) / W
-    return (intra + expected_cross) / total
+    return moments
 
 
-# ---------------------------------------------------------------------------
-# exact worst case
-# ---------------------------------------------------------------------------
-
-def worst_reachability(
-    system: System, algorithm: RoutingAlgorithm, num_faults: int
-) -> float:
-    """Exact minimum reachability over all admissible patterns.
+def _worst_cross(states: list[list[_ChipletState]], max_f: int) -> dict[int, int]:
+    """Minimal reachable cross pairs per admissible fault count <= ``max_f``.
 
     DP over chiplets with state (faults used, sum S, sum D) keeping the
-    minimal achievable ``sum_A S_A * D_A``; the final objective
-    ``(sum S)(sum D) - min sum S*D`` is minimized over end states with
-    exactly ``num_faults`` faults.
+    minimal achievable ``sum_A S_A * D_A``; the objective
+    ``(sum S)(sum D) - min sum S*D`` is then minimized per fault count.
+    Fault counts with no admissible pattern are absent.
     """
-    profiles = _profiles(system, algorithm)
     # dp: {(f, sumS, sumD): min sum of S*D}
     dp: dict[tuple[int, int, int], int] = {(0, 0, 0): 0}
-    for profile in profiles:
-        states = profile.states()
+    for chiplet_states in states:
         nxt: dict[tuple[int, int, int], int] = {}
         for (f, ss, sd), y in dp.items():
-            for state in states:
+            for state in chiplet_states:
                 nf = f + state.faults
-                if nf > num_faults:
-                    continue
+                if nf > max_f:
+                    break
                 key = (nf, ss + state.senders, sd + state.receivers)
                 value = y + state.senders * state.receivers
                 if key not in nxt or value < nxt[key]:
                     nxt[key] = value
         dp = nxt
-    candidates = [
-        ss * sd - y for (f, ss, sd), y in dp.items() if f == num_faults
-    ]
-    if not candidates:
-        raise FaultModelError(
-            f"no admissible fault pattern with {num_faults} faults"
-        )
+    worst: dict[int, int] = {}
+    for (f, ss, sd), y in dp.items():
+        cross = ss * sd - y
+        if f not in worst or cross < worst[f]:
+            worst[f] = cross
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# exact curves
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ReachabilityCurve:
+    """Average and worst-case reachability per fault count (one Fig. 7 line pair)."""
+
+    algorithm: str
+    fault_counts: tuple[int, ...]
+    average: list[float] = field(default_factory=list)
+    worst: list[float] = field(default_factory=list)
+
+
+def reachability_curve(
+    system: System,
+    algorithm: RoutingAlgorithm,
+    fault_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
+) -> ReachabilityCurve:
+    """Compute the Fig. 7 curve (average + worst) for one algorithm.
+
+    Builds each chiplet's profile once, runs one moment convolution and
+    one worst-case DP up to ``max(fault_counts)``, and reads every
+    requested count off them in the caller's order (duplicates and any
+    order allowed; ``()`` gives an empty curve). Each value is
+    bit-identical to a single-count computation.
+
+    Raises:
+        FaultModelError: the system has fewer than two chiplets, or a
+            requested count has no admissible fault pattern.
+    """
+    num_chiplets = system.spec.num_chiplets
+    if num_chiplets < 2:
+        raise FaultModelError("reachability analysis needs at least two chiplets")
+    curve = ReachabilityCurve(algorithm=algorithm.name, fault_counts=tuple(fault_counts))
+    if not curve.fault_counts:
+        return curve
+    states = [_ChipletProfile(algorithm, c).states() for c in range(num_chiplets)]
+    max_f = max(0, *curve.fault_counts)
+    moments = _moments(states, max_f)
+    worst_cross = _worst_cross(states, max_f)
     intra, total = _pair_totals(system)
-    return (intra + min(candidates)) / total
+    for k in curve.fault_counts:
+        if k not in worst_cross:
+            raise FaultModelError(f"no admissible fault pattern with {k} faults")
+        W, _, _, X, Y = moments[k]
+        expected_cross = (X - Y) / W
+        curve.average.append((intra + expected_cross) / total)
+        curve.worst.append((intra + worst_cross[k]) / total)
+    return curve
+
+
+def average_reachability(
+    system: System, algorithm: RoutingAlgorithm, num_faults: int
+) -> float:
+    """Exact mean reachability over all admissible ``num_faults`` patterns."""
+    return reachability_curve(system, algorithm, (num_faults,)).average[0]
+
+
+def worst_reachability(
+    system: System, algorithm: RoutingAlgorithm, num_faults: int
+) -> float:
+    """Exact minimum reachability over all admissible patterns."""
+    return reachability_curve(system, algorithm, (num_faults,)).worst[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +233,7 @@ def reachability_of_state(
     system: System,
     algorithm: RoutingAlgorithm,
     state: FaultState,
-    routes: "CompiledRoutes | None" = None,
+    routes: CompiledRoutes | None = None,
 ) -> float:
     """Reachable fraction of ordered core pairs for one concrete pattern.
 
@@ -282,30 +294,3 @@ def monte_carlo_reachability(
         state = random_fault_state(system, num_faults, rng)
         values.append(reachability_of_state(system, algorithm, state))
     return sum(values) / len(values), min(values)
-
-
-# ---------------------------------------------------------------------------
-# figure-level API
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ReachabilityCurve:
-    """Average and worst-case reachability per fault count (one Fig. 7 line pair)."""
-
-    algorithm: str
-    fault_counts: tuple[int, ...]
-    average: list[float] = field(default_factory=list)
-    worst: list[float] = field(default_factory=list)
-
-
-def reachability_curve(
-    system: System,
-    algorithm: RoutingAlgorithm,
-    fault_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
-) -> ReachabilityCurve:
-    """Compute the Fig. 7 curve (average + worst) for one algorithm."""
-    curve = ReachabilityCurve(algorithm=algorithm.name, fault_counts=fault_counts)
-    for k in fault_counts:
-        curve.average.append(average_reachability(system, algorithm, k))
-        curve.worst.append(worst_reachability(system, algorithm, k))
-    return curve

@@ -39,7 +39,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis.reachability import average_reachability, worst_reachability
+from .analysis.reachability import reachability_curve
 from .config import SimulationConfig
 from .distributed import SpoolBackend, parse_shard, run_worker, shard_campaign
 from .core.tables import build_selection_tables
@@ -691,9 +691,8 @@ def _cmd_reachability(args: argparse.Namespace) -> int:
     system = _system_from_args(args)
     algorithm = make_algorithm(args.algo, system)
     print(f"{args.algo} on {system.spec.name}:")
-    for k in range(1, args.max_faults + 1):
-        avg = average_reachability(system, algorithm, k)
-        wrst = worst_reachability(system, algorithm, k)
+    curve = reachability_curve(system, algorithm, tuple(range(1, args.max_faults + 1)))
+    for k, avg, wrst in zip(curve.fault_counts, curve.average, curve.worst):
         print(f"  {k} faulty VLs: average {avg * 100:6.2f}%  worst {wrst * 100:6.2f}%")
     return 0
 

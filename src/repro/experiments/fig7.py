@@ -4,7 +4,10 @@ Average and worst-case reachability for 1-8 faulty directed VL channels,
 over all fault combinations excluding complete chiplet disconnection,
 for (a) the 4-chiplet system (32 VLs) and (b) the 6-chiplet system
 (48 VLs). Computed exactly by the decomposition of
-:mod:`repro.analysis.reachability` — no pattern enumeration.
+:mod:`repro.analysis.reachability` — no pattern enumeration. Each
+algorithm's curve is one :func:`reachability_curve` call: chiplet
+profiles are built once and one convolution/DP pass serves all eight
+fault counts.
 
 Paper claims checked: DeFT is flat at 100% (worst = average); MTR is
 fully tolerant only of a single fault; RC tolerates none; worst cases

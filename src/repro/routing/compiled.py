@@ -47,7 +47,7 @@ rebuild only the route rows while keeping the reachability rows.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import RoutingError
 from ..fault.model import DirectedVL, FaultState, VLDirection
@@ -200,14 +200,14 @@ class CompiledRoutes:
         """Routers of ``chiplet`` that can still send inter-chiplet.
 
         ``down_pattern`` holds the chiplet's *faulty* local down-channel
-        indices. Computed once per pattern by probing the algorithm's own
-        ``is_routable`` under a reduced fault state (only these down
-        faults, so the witness destination is always deliverable).
+        indices; probed once per pattern by :func:`count_routable`.
         """
         key = (chiplet, down_pattern)
         count = self._senders.get(key)
         if count is None:
-            count = self._count_routable(chiplet, down_pattern, VLDirection.DOWN)
+            count = count_routable(
+                self.algorithm, chiplet, down_pattern, VLDirection.DOWN
+            )
             self._senders[key] = count
         return count
 
@@ -216,34 +216,9 @@ class CompiledRoutes:
         key = (chiplet, up_pattern)
         count = self._receivers.get(key)
         if count is None:
-            count = self._count_routable(chiplet, up_pattern, VLDirection.UP)
+            count = count_routable(self.algorithm, chiplet, up_pattern, VLDirection.UP)
             self._receivers[key] = count
         return count
-
-    def _count_routable(
-        self, chiplet: int, pattern: frozenset[int], direction: VLDirection
-    ) -> int:
-        system, algorithm = self.system, self.algorithm
-        by_local = {link.local_index: link for link in system.vls_of_chiplet(chiplet)}
-        faults = [DirectedVL(by_local[local].index, direction) for local in pattern]
-        other = (chiplet + 1) % system.spec.num_chiplets
-        witness = system.chiplet_routers(other)[0].id
-        saved = algorithm.fault_state
-        algorithm.set_fault_state(FaultState(system, faults))
-        try:
-            if direction is VLDirection.DOWN:
-                return sum(
-                    1
-                    for router in system.chiplet_routers(chiplet)
-                    if algorithm.is_routable(router.id, witness)
-                )
-            return sum(
-                1
-                for router in system.chiplet_routers(chiplet)
-                if algorithm.is_routable(witness, router.id)
-            )
-        finally:
-            algorithm.set_fault_state(saved)
 
     def core_reachability(self, state: FaultState) -> float:
         """Reachable fraction of ordered core pairs under ``state``.
@@ -372,6 +347,37 @@ class DenseRouteTable:
         found = self._keys[pos] == keys
         self.misses += int(len(found) - int(found.sum()))
         return self._codes[pos], found
+
+
+def count_routable(
+    algorithm: RoutingAlgorithm,
+    chiplet: int,
+    pattern: Iterable[int],
+    direction: VLDirection,
+) -> int:
+    """Routers of ``chiplet`` still routable with ``pattern`` faulty.
+
+    ``pattern`` holds the chiplet's faulty local VL indices in
+    ``direction``. The probe installs a reduced fault state (only these
+    faults, so the witness router on the next chiplet is untouched) and
+    sweeps the algorithm's own ``is_routable``: DOWN counts routers that
+    can send to the witness, UP counts routers the witness can deliver
+    to. The algorithm's fault state is restored afterwards.
+    """
+    system = algorithm.system
+    links = system.vls_of_chiplet(chiplet)
+    faults = [DirectedVL(links[local].index, direction) for local in pattern]
+    other = (chiplet + 1) % system.spec.num_chiplets
+    witness = system.chiplet_routers(other)[0].id
+    routers = [router.id for router in system.chiplet_routers(chiplet)]
+    saved = algorithm.fault_state
+    algorithm.set_fault_state(FaultState(system, faults))
+    try:
+        if direction is VLDirection.DOWN:
+            return sum(1 for r in routers if algorithm.is_routable(r, witness))
+        return sum(1 for r in routers if algorithm.is_routable(witness, r))
+    finally:
+        algorithm.set_fault_state(saved)
 
 
 def compile_routes(algorithm: RoutingAlgorithm) -> CompiledRoutes | None:

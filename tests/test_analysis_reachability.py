@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import reachability
 from repro.analysis.reachability import (
     average_reachability,
     brute_force_reachability,
@@ -15,6 +16,23 @@ from repro.fault.model import chiplet_fault_pattern, fault_free
 from repro.routing.deft import DeftRouting
 from repro.routing.mtr import MtrRouting
 from repro.routing.rc import RcRouting
+from repro.topology.presets import chiplet_grid
+
+ALGORITHMS = (DeftRouting, MtrRouting, RcRouting)
+
+#: System fixture -> fault counts: Fig. 7's k = 1..8 on both baselines and
+#: the heterogeneous system, fig7mc's counts on the 3x2 grid.
+CURVE_CASES = {
+    "system4": (1, 2, 3, 4, 5, 6, 7, 8),
+    "system6": (1, 2, 3, 4, 5, 6, 7, 8),
+    "hetero_system": (1, 2, 3, 4, 5, 6, 7, 8),
+    "grid3x2": (2, 4, 8, 12),
+}
+
+
+@pytest.fixture(scope="module")
+def grid3x2():
+    return chiplet_grid(3, 2)
 
 
 @pytest.mark.slow
@@ -90,13 +108,70 @@ class TestReachabilityOfState:
         assert algo.fault_state is original
 
 
+class TestOnePassCurve:
+    @pytest.mark.parametrize("factory", ALGORITHMS)
+    @pytest.mark.parametrize("system_name", sorted(CURVE_CASES))
+    def test_curve_equals_per_k_wrappers(self, request, system_name, factory):
+        """Bit-identical, not approximately equal."""
+        system = request.getfixturevalue(system_name)
+        algo = factory(system)
+        counts = CURVE_CASES[system_name]
+        curve = reachability_curve(system, algo, counts)
+        assert curve.average == [average_reachability(system, algo, k) for k in counts]
+        assert curve.worst == [worst_reachability(system, algo, k) for k in counts]
+
+    @pytest.mark.parametrize(
+        "counts", [(1,), (1, 2, 3, 4, 5, 6, 7, 8), (8, 2, 5, 2)]
+    )
+    def test_one_profile_per_chiplet_per_call(self, system4, monkeypatch, counts):
+        built = []
+        original = reachability._ChipletProfile.__init__
+
+        def counting_init(self, algorithm, chiplet):
+            built.append(chiplet)
+            original(self, algorithm, chiplet)
+
+        monkeypatch.setattr(reachability._ChipletProfile, "__init__", counting_init)
+        reachability_curve(system4, MtrRouting(system4), counts)
+        assert sorted(built) == list(range(system4.spec.num_chiplets))
+
+    def test_unsorted_duplicate_counts_keep_caller_order(self, system4):
+        algo = RcRouting(system4)
+        curve = reachability_curve(system4, algo, (8, 2, 5, 2))
+        assert curve.fault_counts == (8, 2, 5, 2)
+        assert curve.average == [
+            average_reachability(system4, algo, k) for k in (8, 2, 5, 2)
+        ]
+        assert curve.worst == [
+            worst_reachability(system4, algo, k) for k in (8, 2, 5, 2)
+        ]
+
+    def test_empty_counts_give_empty_curve(self, system4):
+        curve = reachability_curve(system4, MtrRouting(system4), ())
+        assert curve.fault_counts == ()
+        assert curve.average == [] and curve.worst == []
+
+
 class TestErrors:
+    #: Every entry point: the per-k wrappers and a curve holding k among
+    #: admissible counts.
+    COMPUTES = (
+        average_reachability,
+        worst_reachability,
+        lambda system, algo, k: reachability_curve(system, algo, (1, k, 2)),
+    )
+
     def test_impossible_fault_count(self, system4):
         algo = DeftRouting(system4)
-        with pytest.raises(FaultModelError):
-            average_reachability(system4, algo, 99)
+        for k in (99, -1):
+            for compute in self.COMPUTES:
+                with pytest.raises(
+                    FaultModelError, match=f"^no admissible fault pattern with {k} faults$"
+                ):
+                    compute(system4, algo, k)
 
     def test_needs_two_chiplets(self, lone_chiplet):
         algo = DeftRouting(lone_chiplet)
-        with pytest.raises(FaultModelError):
-            average_reachability(lone_chiplet, algo, 1)
+        for compute in self.COMPUTES:
+            with pytest.raises(FaultModelError, match="at least two chiplets"):
+                compute(lone_chiplet, algo, 1)

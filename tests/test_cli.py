@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.analysis.reachability import average_reachability, worst_reachability
 from repro.cli import build_parser, main
+from repro.routing.registry import make_algorithm
+from repro.topology.presets import baseline_4_chiplets
 
 
 class TestParser:
@@ -73,6 +76,19 @@ class TestCommands:
         assert main(["reachability", "--algo", "rc", "--max-faults", "2"]) == 0
         out = capsys.readouterr().out
         assert "1 faulty VLs" in out
+
+    @pytest.mark.parametrize("algo", ["deft", "mtr", "rc"])
+    def test_reachability_lines_match_per_k_functions(self, capsys, algo):
+        system = baseline_4_chiplets()
+        algorithm = make_algorithm(algo, system)
+        expected = [f"{algo} on {system.spec.name}:"] + [
+            f"  {k} faulty VLs: "
+            f"average {average_reachability(system, algorithm, k) * 100:6.2f}%  "
+            f"worst {worst_reachability(system, algorithm, k) * 100:6.2f}%"
+            for k in (1, 2, 3)
+        ]
+        assert main(["reachability", "--algo", algo, "--max-faults", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_optimize_prints_map(self, capsys):
         assert main(["optimize", "--faulty", "1"]) == 0

@@ -19,33 +19,9 @@ from repro.network.simulator import Simulator
 from repro.routing.deft import DeftRouting
 from repro.routing.mtr import MtrRouting
 from repro.routing.rc import RcRouting
-from repro.topology.builder import build_system
-from repro.topology.spec import ChipletSpec, SystemSpec
 from repro.traffic.synthetic import UniformTraffic
 
 from .routing_helpers import walk_packet
-
-
-@pytest.fixture(scope="module")
-def hetero_system():
-    """A big 6x4 chiplet (6 VLs) next to a small 3x3 chiplet (2 VLs),
-    over a 10x5 interposer with one DRAM."""
-    big = ChipletSpec(
-        origin=(0, 0), width=6, height=4,
-        vl_positions=((1, 0), (4, 0), (0, 2), (5, 2), (2, 3), (3, 3)),
-    )
-    small = ChipletSpec(
-        origin=(6, 1), width=3, height=3,
-        vl_positions=((1, 0), (1, 2)),
-    )
-    spec = SystemSpec(
-        chiplets=(big, small),
-        interposer_width=10,
-        interposer_height=5,
-        dram_positions=((9, 4),),
-        name="hetero-2-chiplets",
-    )
-    return build_system(spec)
 
 
 class TestHeterogeneousTopology:
