@@ -4,8 +4,9 @@
   batch of one (:mod:`~repro.network.kernels.reference`).
 * ``vector`` — the job-batched numpy kernel
   (:mod:`~repro.network.kernels.vector`): it advances one or more
-  simulations that share a compiled route table in lockstep, as one
-  disjoint-union network. Needs numpy and compiled routes.
+  simulations that share system, faults and config in lockstep, as one
+  disjoint-union network; each member routes through its own
+  algorithm's compiled table. Needs numpy and compiled routes.
 
 :func:`select_kernel` resolves a request. ``"auto"`` honours the
 ``DEFT_KERNEL`` environment variable if set, otherwise picks ``vector``

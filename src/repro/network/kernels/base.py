@@ -6,7 +6,8 @@ owns configuration, the run loop, reporting and telemetry. Members are
 indexed ``0..N-1`` and share the batch clock :attr:`cycle` until they
 *retire* (:meth:`retire`): drain over, or watchdog fired
 (:attr:`deadlocked`). The ``reference`` kernel is always a batch of one;
-the ``vector`` kernel batches members that share a compiled route table.
+the ``vector`` kernel batches members that share system, faults and
+config, whatever their routing algorithms.
 
 Equivalence contract: until it retires, every member produces after
 every step the canonical :func:`snapshot <repro.network.state.snapshot_state>`

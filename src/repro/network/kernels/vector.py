@@ -1,13 +1,13 @@
 """The job-batched numpy struct-of-arrays cycle kernel.
 
 Same semantics as :mod:`repro.network.kernels.reference`, executed as
-array sweeps over a batch of N simulations that share one compiled route
-table (same system, algorithm, fault state and config; traffic may
-differ). The batch is one disjoint-union network — member ``m``'s router
-``r`` is global router ``m * R + r`` — so one numpy pass covers ``N * R``
-routers and the per-cycle numpy overhead, which dominates on the paper's
-128/192-router systems, is paid once per batch. A batch of one is the
-solo kernel.
+array sweeps over a batch of N simulations that share system, faults and
+config (an equal fault state, the config apart from the seed); routing
+algorithm and traffic may differ. The batch is one disjoint-union network
+— member ``m``'s router ``r`` is global router ``m * R + r`` — so one
+numpy pass covers ``N * R`` routers and the per-cycle numpy overhead,
+which dominates on the paper's 128/192-router systems, is paid once per
+batch. A batch of one is the solo kernel.
 
 One flat *channel* axis indexes every input VC of every router
 (``channel = (router * NUM_PORTS + port) * num_vcs + vc``), so ascending
@@ -17,12 +17,15 @@ entry ``i * N + m``; its flit ``seq`` is flit id ``entry * packet_size +
 seq``. Per cycle:
 
 * **Plan** — fresh heads get their route decision from the dense view of
-  the compiled table (one ``searchsorted`` batch); stateful hops, unbound
-  VLs and dense misses fall back to live dispatch on the member's own
+  their member's compiled table (one ``searchsorted`` batch per distinct
+  table in the batch); stateful hops, unbound VLs and dense misses fall
+  back to live dispatch through the member's own table on its own
   algorithm copy, in ascending channel order — each member's reference
   call sequence, so RNGs, round-robins and load counters advance
-  identically. Output-VC allocation pre-filters hopeless channels, then
-  first-fits the rest in canonical order.
+  identically. Every table interns its decisions into the one shared
+  :data:`~repro.routing.compiled.DECISION_CODES` space, so a decision
+  code means the same in every row. Output-VC allocation pre-filters
+  hopeless channels, then first-fits the rest in canonical order.
 * **Serve** — switch allocation is a grouped segmented argmin over
   requests sorted by (router, out port); winning transfers pop, debit
   credits, stage arrivals and return credits as array ops. Ejections and
@@ -45,7 +48,12 @@ from typing import TYPE_CHECKING, Sequence
 from ...errors import DeadlockError, UnroutablePacketError
 from ...fault.model import VLDirection
 from ...routing.base import Port, opposite_port
-from ...routing.compiled import PHASE_TO_DOWN, PHASE_TO_DST, PHASE_TO_UP
+from ...routing.compiled import (
+    DECISION_CODES,
+    PHASE_TO_DOWN,
+    PHASE_TO_DST,
+    PHASE_TO_UP,
+)
 from ...topology.geometry import INTERPOSER_LAYER
 from ..flit import Packet
 from ..nic import Nic
@@ -93,10 +101,17 @@ class VectorKernel(CycleKernel):
         self.algos = [sim.algorithm for sim in self.sims]
         self.traffic = [sim.traffic for sim in self.sims]
         self.stats = [sim.stats for sim in self.sims]
-        assert lead.routes is not None, "vector kernel requires compiled routes"
-        self._routes = lead.routes
-        self._dense = lead.routes.dense_table()
-        self._anchors = lead.routes._anchors
+        #: Each member's compiled table; members of one algorithm share it.
+        self._routes = [sim.routes for sim in self.sims]
+        assert None not in self._routes, "vector kernel requires compiled routes"
+        self._tables = list(dict.fromkeys(self._routes))  # distinct, in order
+        self._table_of = np.array(
+            [self._tables.index(routes) for routes in self._routes], dtype=np.int64
+        )
+        # Each table is rebound to its first member's (equal) fault state.
+        self._table_algos = [self.algos[self._routes.index(t)] for t in self._tables]
+        self._dense = [routes.dense_table() for routes in self._tables]
+        self._anchors = lead.routes._anchors  # a function of the system alone
         self._vn_vcs = partition_vcs(self.config.num_vcs)
         self._vl_ser = self.config.vl_serialization
 
@@ -474,12 +489,11 @@ class VectorKernel(CycleKernel):
         return a_chan[ok], rcq
 
     def _compute_decisions(self, chans, fids) -> None:
-        """Route fresh heads: one dense batch plus ordered live fallbacks."""
+        """Route fresh heads: dense batches plus ordered live fallbacks."""
         np = self._np
-        routes = self._routes
-        fault_state = self.algos[0].fault_state
-        if fault_state is not routes._fault_state:
-            routes._rebind(fault_state)
+        for routes, algo in zip(self._tables, self._table_algos):
+            if algo.fault_state is not routes._fault_state:
+                routes._rebind(algo.fault_state)
         pids = fids // self._S
         r = chans // self._PV
         rl = r % self._R if self._multi else r  # member-local router
@@ -512,9 +526,8 @@ class VectorKernel(CycleKernel):
             key = (
                 (phase[table] * self._anchors + anchor[table]) * self._R + rl[table]
             ) * (self._P * 2) + in_port[table] * 2 + self.pkt_vn[pids[table]]
-            self._dense.maybe_resync()
-            codes, found = self._dense.lookup(key)
             tchans = chans[table]
+            codes, found = self._lookup(tchans, key)
             hit = tchans[found]
             self.dec_code[hit] = codes[found]
             if self._multi:
@@ -529,17 +542,37 @@ class VectorKernel(CycleKernel):
             m = c // self._CPM
             packet = self.pkt_objs[pid]
             assert packet is not None
-            decision = routes.route(packet, int(rl[i]), Port(int(in_port[i])), self.algos[m])
-            self.dec_code[c] = self._dense.code_for(decision)
+            decision = self._routes[m].route(
+                packet, int(rl[i]), Port(int(in_port[i])), self.algos[m]
+            )
+            self.dec_code[c] = DECISION_CODES.code_for(decision)
             self._live_decisions[m] += 1
             if packet.up_vl is not None:  # the live call may have bound it
                 self.pkt_up[pid] = packet.up_vl
         self._sync_codes()
         self.dec_port[chans] = self.code_port_arr[self.dec_code[chans]]
 
+    def _lookup(self, tchans, key):
+        """Dense-table (codes, found) for channels ``tchans`` at ``key``:
+        one lookup per distinct table, over the rows of its members."""
+        if len(self._dense) == 1:
+            dense = self._dense[0]
+            dense.maybe_resync()
+            return dense.lookup(key)
+        np = self._np
+        owner = self._table_of[tchans // self._CPM]
+        codes = np.zeros(key.size, dtype=np.int32)
+        found = np.zeros(key.size, dtype=bool)
+        for t, dense in enumerate(self._dense):
+            rows = np.flatnonzero(owner == t)
+            if rows.size:
+                dense.maybe_resync()
+                codes[rows], found[rows] = dense.lookup(key[rows])
+        return codes, found
+
     def _sync_codes(self) -> None:
-        """Track the dense table's decision interning with numpy mirrors."""
-        decs = self._dense.decisions
+        """Track the shared decision interning with numpy mirrors."""
+        decs = DECISION_CODES.decisions
         if len(decs) == len(self._code_ports):
             return
         np = self._np
@@ -991,7 +1024,7 @@ class VectorKernel(CycleKernel):
                 (RC_PORT, 0) if ap == RC_PORT else (ap, int(self.asg_vc[g]))
             )
         for g, rid, port, vc in where(self.dec_port[span] != _NONE):
-            st.decision[rid][port][vc] = self._dense.decisions[int(self.dec_code[g])]
+            st.decision[rid][port][vc] = DECISION_CODES.decisions[int(self.dec_code[g])]
         for g, rid, port, vc in where(self.owner_arr[span] >= 0):
             st.out_owner[rid][port][vc] = self.pkt_objs[int(self.owner_arr[g])]
         for g, rid, port, vc in where(self.credits_arr[span] != D):

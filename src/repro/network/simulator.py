@@ -16,7 +16,8 @@ cycle does to the network state — lives behind the
   numpy array sweeps over a dense route table
   (:meth:`~repro.routing.compiled.CompiledRoutes.dense_table`), falling
   back to live per-hop dispatch for stateful hops — for one simulation
-  or for a lockstep batch of several (:meth:`Simulator.lockstep`).
+  or for a lockstep batch of several, which may differ in routing
+  algorithm (:meth:`Simulator.lockstep`).
 
 One run loop serves both: a solo simulation is a batch of one. Both
 kernels are bit-identical by contract (enforced by the differential
@@ -172,10 +173,13 @@ class Simulator:
     def lockstep(sims: "list[Simulator]") -> None:
         """Bind ``sims`` into one batch the vector kernel advances in lockstep.
 
-        Members must share the system, the compiled route table, an equal
-        fault state and the config (the seed aside), and each needs its
-        own algorithm instance (a ``runtime_copy``) so runtime state stays
-        per member. Every member's report equals its solo run's.
+        Members must share the system, an equal fault state and the
+        config (the seed aside); their routing algorithms may differ. Each
+        needs its own algorithm instance (a ``runtime_copy``) so runtime
+        state stays per member, and routes through its own compiled table,
+        which the constructor has checked is bound to that algorithm's
+        origin. Members of one algorithm share one table. Every member's
+        report equals its solo run's.
         """
         lead = sims[0]
         same_config = lead.config.replace(seed=0)
@@ -188,13 +192,11 @@ class Simulator:
                 raise ValueError("lockstep batches run on the vector kernel")
             if (
                 sim.system is not lead.system
-                or sim.routes is not lead.routes
                 or sim.algorithm.fault_state != lead.algorithm.fault_state
                 or sim.config.replace(seed=0) != same_config
             ):
                 raise ValueError(
-                    "lockstep members must share system, route table, "
-                    "fault state and config"
+                    "lockstep members must share system, fault state and config"
                 )
         kernel = build_kernel("vector", sims)
         for member, sim in enumerate(sims):

@@ -255,6 +255,36 @@ class CompiledRoutes:
         return (intra + cross) / total
 
 
+class DecisionCodes:
+    """Value interner for route decisions: one integer code space.
+
+    A code depends only on the decision's ``(out_port, allowed_vns)``, so
+    every :class:`DenseRouteTable` — whatever its algorithm — interns into
+    the one process-wide instance :data:`DECISION_CODES`. A lockstep batch
+    whose members route through different tables then indexes a single
+    decision list.
+    """
+
+    def __init__(self) -> None:
+        #: code -> representative RouteDecision.
+        self.decisions: list[RouteDecision] = []
+        self._code_of: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def code_for(self, decision: RouteDecision) -> int:
+        """Intern a decision, returning its stable integer code."""
+        key = (int(decision.out_port), tuple(int(v) for v in decision.allowed_vns))
+        code = self._code_of.get(key)
+        if code is None:
+            code = len(self.decisions)
+            self._code_of[key] = code
+            self.decisions.append(decision)
+        return code
+
+
+#: The code space shared by every dense route table in the process.
+DECISION_CODES = DecisionCodes()
+
+
 class DenseRouteTable:
     """Batch-lookup view of a :class:`CompiledRoutes` table.
 
@@ -263,8 +293,9 @@ class DenseRouteTable:
     traffic exercises a few thousand, so the view keeps the *compiled*
     keys as a sorted int64 array with a parallel array of interned
     decision codes and answers batch queries via ``searchsorted``.
-    Decisions are interned by value (``(out_port, allowed_vns)``), so
-    codes remain valid across table invalidations.
+    Codes come from the shared :data:`DECISION_CODES` interner, so they
+    stay valid across table invalidations and mean the same decision in
+    every table.
 
     Sync policy: the view trails the dict and resyncs with geometric
     backoff (when the dict has grown 25% + 16 entries past the last
@@ -281,9 +312,6 @@ class DenseRouteTable:
         self._routes = routes
         self._keys = np.empty(0, dtype=np.int64)
         self._codes = np.empty(0, dtype=np.int32)
-        #: code -> representative RouteDecision (value-interned).
-        self.decisions: list[RouteDecision] = []
-        self._code_of: dict[tuple[int, tuple[int, ...]], int] = {}
         #: Codes of the dict's entries in insertion order, so a resync
         #: only interns entries compiled since the previous one.
         self._insertion_codes: list[int] = []
@@ -293,16 +321,6 @@ class DenseRouteTable:
         self.lookups = 0
         self.misses = 0
         self.resyncs = 0
-
-    def code_for(self, decision: RouteDecision) -> int:
-        """Intern a decision, returning its stable integer code."""
-        key = (int(decision.out_port), tuple(int(v) for v in decision.allowed_vns))
-        code = self._code_of.get(key)
-        if code is None:
-            code = len(self.decisions)
-            self._code_of[key] = code
-            self.decisions.append(decision)
-        return code
 
     def maybe_resync(self) -> None:
         """Adopt dict growth / invalidation if the backoff threshold passed."""
@@ -319,7 +337,7 @@ class DenseRouteTable:
         done = len(self._insertion_codes)
         if n > done:
             self._insertion_codes.extend(
-                self.code_for(d)
+                DECISION_CODES.code_for(d)
                 for d in itertools.islice(table.values(), done, None)
             )
         codes = np.asarray(self._insertion_codes, dtype=np.int32)

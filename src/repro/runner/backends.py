@@ -143,7 +143,7 @@ class ExecutionBackend(abc.ABC):
 class SerialBackend(ExecutionBackend):
     """Run jobs in the calling process through :func:`~repro.runner.execute.execute_jobs`.
 
-    With a session, same-table simulation jobs advance in lockstep
+    With a session, same-system simulation jobs advance in lockstep
     batches of the vector kernel; everything else runs one job at a time.
     Progress callbacks fire in completion order.
 

@@ -295,12 +295,12 @@ def _simulation_result(
 # ----------------------------------------------------------------------
 
 #: Router budget of one lockstep batch. On the paper's systems the vector
-#: kernel's step cost is mostly fixed numpy overhead: a step over 8 x 128
-#: routers cost 2.3x one over 128, while past about a thousand routers
-#: the cost grows with the router count (README, "Lockstep batches").
-#: Every paper-figs group fits (up to 6 x 128 or 5 x 192 routers); a
-#: 2,048-router job always runs alone.
-BATCH_ROUTERS = 1024
+#: kernel's step cost is mostly fixed numpy overhead: a step over 16 x 128
+#: routers cost 3.4x one over 128 (README, "Lockstep batches"). With
+#: mixed-algorithm batches a whole paper sweep fits (up to 18 x 128 or
+#: 15 x 192 routers); the budget stays below 4,096 so a 2,048-router job
+#: always runs alone.
+BATCH_ROUTERS = 3072
 
 #: Called as each job of :func:`execute_jobs` finishes:
 #: (index into ``jobs``, result, phase split).
@@ -308,10 +308,11 @@ FinishedFn = Callable[[int, JobResult, dict], None]
 
 
 def batch_key(job: Job) -> tuple | None:
-    """Jobs with equal keys share a route table and may run in lockstep.
+    """Jobs with equal keys may run in one lockstep batch.
 
-    They agree on system, algorithm (+ parameters), explicit faults and
-    config apart from the seed; traffic and seeds may differ. ``None``
+    They agree on system, explicit faults and config apart from the seed;
+    algorithm (+ parameters), traffic and seeds may differ, since every
+    member routes through its own algorithm's compiled table. ``None``
     means the job always runs alone: reachability jobs, sampled faults
     (a fault state per job) and ``kernel="reference"`` requests.
     """
@@ -321,8 +322,6 @@ def batch_key(job: Job) -> tuple | None:
         return None
     return (
         SessionContext.system_key(job.system),
-        job.algorithm,
-        job.algorithm_params,
         job.faults,
         job.config.replace(seed=0),
     )
@@ -333,15 +332,16 @@ def execute_jobs(
     session: SessionContext | None = None,
     on_result: FinishedFn | None = None,
 ) -> list[JobResult]:
-    """Run ``jobs``, advancing same-table simulations in lockstep batches.
+    """Run ``jobs``, advancing same-system simulations in lockstep batches.
 
     Results equal :func:`execute_job`'s bit for bit, in input order. With
     a ``session`` (and no ``DEFT_KERNEL`` override), simulation jobs with
-    equal :func:`batch_key` run as lockstep batches of the vector kernel,
-    filled in submission order while their total router count stays
-    within :data:`BATCH_ROUTERS`; every other job, and every batch of
-    one, runs through :func:`execute_job` exactly as before. A batch
-    member's ``duration_s`` and phase split are its share of the batch's
+    equal :func:`batch_key` — whatever their routing algorithms — run as
+    lockstep batches of the vector kernel, filled in submission order
+    while their total router count stays within :data:`BATCH_ROUTERS`;
+    every other job, and every batch of one, runs through
+    :func:`execute_job` exactly as before. A batch member's
+    ``duration_s`` and phase split are its share of the batch's
     wall-clock, apportioned by simulated cycles, so the members' shares
     sum to the batch's wall-clock.
     """
@@ -378,65 +378,94 @@ def _execute_solo(jobs, indices, session, finish: FinishedFn) -> None:
         finish(index, execute_job(jobs[index], session=session, phases=phases), phases)
 
 
+def _spec(job: Job) -> tuple:
+    return (job.algorithm, job.algorithm_params)
+
+
 def _execute_group(jobs, indices, session, finish: FinishedFn) -> None:
     """Lockstep batches for one :func:`batch_key` group.
 
+    One algorithm and one compiled table are built per distinct
+    (algorithm, parameters) of the group. Jobs whose algorithm fails to
+    build, or has no compiled table, run alone, so their failures surface
+    exactly as :func:`execute_job` reports them; the rest still batch.
     Any exception while building or running a batch re-runs its jobs
-    alone, so failures surface exactly as :func:`execute_job` reports
-    them (and the others still succeed).
+    alone too.
     """
     start = time.perf_counter()
     lead = jobs[indices[0]]
     try:
         system = session.system(lead.system)
-        size = BATCH_ROUTERS // len(system.routers)
-        if size > 1:
-            algorithm = session.algorithm(
-                lead.system, system, lead.algorithm, lead.algorithm_params,
-                build=lambda: _build_algorithm(lead, system),
-            )
-            built = time.perf_counter()
-            routes = session.routes(
-                lead.system, lead.algorithm, lead.algorithm_params, algorithm
-            )
-            compiled = time.perf_counter()
-            algorithm.set_fault_state(session.fault_state(lead.system, system, lead))
+        fault_state = session.fault_state(lead.system, system, lead)
     except Exception:
-        size = 1
-    if size <= 1 or routes is None:
-        # A system that fills a batch on its own (or one that cannot run
-        # on the vector kernel) keeps the one-job path.
         _execute_solo(jobs, indices, session, finish)
         return
-    # The group's shared builds are charged to its first batch.
-    shared = ((built - start) + (time.perf_counter() - compiled), compiled - built)
-    for first in range(0, len(indices), size):
-        chunk = indices[first : first + size]
+    size = BATCH_ROUTERS // len(system.routers)
+    if size <= 1:
+        # A system that fills a batch on its own keeps the one-job path.
+        _execute_solo(jobs, indices, session, finish)
+        return
+    built: dict[tuple, tuple | None] = {}
+    compile_s = 0.0
+    for job in (jobs[index] for index in indices):
+        if _spec(job) in built:
+            continue
+        built[_spec(job)] = None
+        try:
+            algorithm = session.algorithm(
+                job.system, system, job.algorithm, job.algorithm_params,
+                build=lambda: _build_algorithm(job, system),
+            )
+            mark = time.perf_counter()
+            routes = session.routes(
+                job.system, job.algorithm, job.algorithm_params, algorithm
+            )
+            compile_s += time.perf_counter() - mark
+            algorithm.set_fault_state(fault_state)
+        except Exception:
+            continue
+        if routes is not None:
+            built[_spec(job)] = (algorithm, routes)
+    members = [index for index in indices if built[_spec(jobs[index])]]
+    # The group's builds and compiles are charged to its first batch,
+    # whose wall-clock therefore runs from the group's start.
+    since: float | None = start
+    for first in range(0, len(members), size):
+        chunk = members[first : first + size]
         if len(chunk) == 1:
             _execute_solo(jobs, chunk, session, finish)
         else:
             _execute_batch(
-                jobs, chunk, session, system, algorithm, routes, shared, finish
+                jobs, chunk, session, system, built, since, compile_s, finish
             )
-        shared = (0.0, 0.0)
+        since, compile_s = None, 0.0
+    _execute_solo(
+        jobs, [index for index in indices if not built[_spec(jobs[index])]],
+        session, finish,
+    )
 
 
 def _execute_batch(
-    jobs, chunk, session, system, algorithm, routes, shared, finish: FinishedFn
+    jobs, chunk, session, system, built, since, compile_s, finish: FinishedFn
 ) -> None:
-    start = time.perf_counter()
+    """One lockstep batch; its wall-clock counts from ``since`` (default:
+    now), of which ``compile_s`` was route compilation."""
+    start = time.perf_counter() if since is None else since
     try:
-        sims = [
-            Simulator(
-                system,
-                algorithm.runtime_copy(),
-                jobs[index].traffic.build(system, seed=jobs[index].seed),
-                jobs[index].config.replace(seed=jobs[index].seed),
-                routes=routes,
-                kernel=jobs[index].kernel,
+        sims = []
+        for index in chunk:
+            job = jobs[index]
+            algorithm, routes = built[_spec(job)]
+            sims.append(
+                Simulator(
+                    system,
+                    algorithm.runtime_copy(),
+                    job.traffic.build(system, seed=job.seed),
+                    job.config.replace(seed=job.seed),
+                    routes=routes,
+                    kernel=job.kernel,
+                )
             )
-            for index in chunk
-        ]
         Simulator.lockstep(sims)
         sim_mark = time.perf_counter()
         reports = [sim.run() for sim in sims]
@@ -444,8 +473,7 @@ def _execute_batch(
         _execute_solo(jobs, chunk, session, finish)
         return
     end = time.perf_counter()
-    setup_s = shared[0] + (sim_mark - start)
-    compile_s = shared[1]
+    setup_s = sim_mark - start - compile_s
     simulate_s = end - sim_mark
     total = sum(report.cycles for report in reports)
     for index, report in zip(chunk, reports):

@@ -13,11 +13,12 @@ topology, algorithm, injection rate, traffic seed, fault count and
 vertical-link serialization. A small sampled subset runs in the fast
 lane; the full sweep is ``slow``-marked.
 
-Batched lockstep mode: 2-6 scenarios that share one route table (system,
-algorithm, faults, config) but differ in injection rate and traffic seed
-run as one vector-kernel batch, while each member's solo reference run
-steps alongside. Until a member retires, its per-cycle digest must equal
-its solo run's — including when a batch-mate deadlocks and retires.
+Batched lockstep mode: 2-6 scenarios that share system, faults and config
+but may differ in routing algorithm, injection rate and traffic seed run
+as one vector-kernel batch, while each member's solo reference run steps
+alongside. Until a member retires, its per-cycle digest must equal its
+solo run's — including when a batch-mate deadlocks and retires, and when
+DeFT, MTR and RC members route through different compiled tables.
 """
 
 import random
@@ -34,6 +35,8 @@ from repro.routing.deft import DeftRouting, VlSelectionStrategy
 from repro.routing.mtr import MtrRouting
 from repro.routing.naive import NaiveRouting
 from repro.routing.rc import RcRouting
+from repro.runner import Job, SystemRef, TrafficSpec
+from repro.runner.execute import batch_key
 from repro.topology.presets import baseline_4_chiplets, baseline_6_chiplets
 from repro.traffic.synthetic import UniformTraffic
 
@@ -129,34 +132,40 @@ def test_kernels_bit_identical_fuzz(seed):
 
 
 def _run_batch_lockstep(
-    build_algo,
     system,
-    members: list[tuple[float, int]],
+    members: list[tuple],
     cfg: SimulationConfig,
     cycles: int,
 ) -> dict[int, int]:
     """Step a vector batch and each member's solo reference run together.
 
-    ``members`` are (rate, traffic seed) pairs; ``build_algo(system)``
-    builds a fresh algorithm with the batch's fault state installed.
-    Returns member -> cycle at which its watchdog retired it.
+    ``members`` are (builder, rate, traffic seed) triples, where
+    ``builder(system)`` builds a fresh algorithm with the batch's fault
+    state installed. Members that name the same builder share one
+    algorithm and compiled table (each gets a ``runtime_copy``), as the
+    runner's batches do. Returns member -> cycle at which its watchdog
+    retired it.
     """
-    shared = build_algo(system)
-    routes = compile_routes(shared)
+    shared = {}
+    for build, _, _ in members:
+        if build not in shared:
+            algo = build(system)
+            shared[build] = (algo, compile_routes(algo))
     batch = [
         Simulator(
-            system, shared.runtime_copy(), UniformTraffic(system, rate, seed=seed),
-            config=cfg, routes=routes, kernel="vector",
+            system, shared[build][0].runtime_copy(),
+            UniformTraffic(system, rate, seed=seed),
+            config=cfg, routes=shared[build][1], kernel="vector",
         )
-        for rate, seed in members
+        for build, rate, seed in members
     ]
     Simulator.lockstep(batch)
     solo = [
         Simulator(
-            system, build_algo(system), UniformTraffic(system, rate, seed=seed),
+            system, build(system), UniformTraffic(system, rate, seed=seed),
             config=cfg, kernel="reference",
         )
-        for rate, seed in members
+        for build, rate, seed in members
     ]
     kernel = batch[0].kernel.batch
     retired: dict[int, int] = {}
@@ -186,36 +195,86 @@ def _batch_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**params)
 
 
+def _faulted(build):
+    """``build`` with the fig8 12.5% fault pattern installed."""
+
+    def faulted(system):
+        algo = build(system)
+        algo.set_fault_state(fault_pattern_12p5(system))
+        return algo
+
+    return faulted
+
+
+def _deft(strategy):
+    return lambda system: DeftRouting(system, strategy)
+
+
 def test_batch_naive_member_deadlocks_while_mates_continue():
     system = baseline_4_chiplets()
-    members = [(0.02, 1), (0.02, 2), (0.005, 3)]
+    members = [(NaiveRouting, 0.02, 1), (NaiveRouting, 0.02, 2), (NaiveRouting, 0.005, 3)]
     cfg = _batch_config(num_vcs=1, watchdog_cycles=40)
-    retired = _run_batch_lockstep(NaiveRouting, system, members, cfg, cycles=400)
+    retired = _run_batch_lockstep(system, members, cfg, cycles=400)
     assert list(retired) == [1], retired  # 0.02/seed 2 deadlocks near cycle 383
 
 
 def test_batch_fig8_faulted_deft_ran_members():
     system = baseline_4_chiplets()
-
-    def build(system):
-        algo = DeftRouting(system, VlSelectionStrategy.RANDOM)
-        algo.set_fault_state(fault_pattern_12p5(system))
-        return algo
-
-    members = [(0.004, 5), (0.006, 6), (0.008, 7), (0.02, 8)]
-    _run_batch_lockstep(build, system, members, _batch_config(), cycles=200)
+    build = _faulted(_deft(VlSelectionStrategy.RANDOM))
+    members = [(build, 0.004, 5), (build, 0.006, 6), (build, 0.008, 7), (build, 0.02, 8)]
+    _run_batch_lockstep(system, members, _batch_config(), cycles=200)
 
 
 def test_batch_rc_members():
     system = baseline_4_chiplets()
-    members = [(0.005, 1), (0.02, 2), (0.04, 3)]
+    members = [(RcRouting, 0.005, 1), (RcRouting, 0.02, 2), (RcRouting, 0.04, 3)]
     _run_batch_lockstep(
-        RcRouting, system, members, _batch_config(vl_serialization=2), cycles=200
+        system, members, _batch_config(vl_serialization=2), cycles=200
     )
 
 
+def test_batch_mixed_deft_mtr_rc_members():
+    """One batch of the paper's three algorithms, as a Fig. 4 sweep runs."""
+    system = baseline_4_chiplets()
+    members = [
+        (DeftRouting, 0.005, 1),
+        (MtrRouting, 0.02, 2),
+        (RcRouting, 0.04, 3),
+        (DeftRouting, 0.02, 4),
+        (RcRouting, 0.005, 5),
+        (MtrRouting, 0.04, 6),
+    ]
+    _run_batch_lockstep(
+        system, members, _batch_config(vl_serialization=2), cycles=200
+    )
+
+
+def test_batch_mixed_fig8_faulted_deft_variants():
+    """DeFT, DeFT-Dis and DeFT-Ran under the fig8 faults, as Fig. 8 runs."""
+    system = baseline_4_chiplets()
+    deft, dis, ran = (
+        _faulted(_deft(strategy))
+        for strategy in (
+            VlSelectionStrategy.OPTIMIZED,
+            VlSelectionStrategy.DISTANCE,
+            VlSelectionStrategy.RANDOM,
+        )
+    )
+    members = [(deft, 0.006, 5), (dis, 0.006, 6), (ran, 0.006, 7), (ran, 0.02, 8)]
+    _run_batch_lockstep(system, members, _batch_config(), cycles=200)
+
+
+def test_batch_mixed_naive_member_deadlocks_beside_deft_and_mtr():
+    system = baseline_4_chiplets()
+    members = [(DeftRouting, 0.02, 1), (NaiveRouting, 0.02, 2), (MtrRouting, 0.02, 3)]
+    cfg = _batch_config(num_vcs=1, watchdog_cycles=40)
+    retired = _run_batch_lockstep(system, members, cfg, cycles=400)
+    assert list(retired) == [1], retired
+
+
 def _fuzz_batch(seed: int) -> None:
-    """2-6 members sharing a pseudo-random table, differing in rate/seed."""
+    """2-6 members sharing system, faults and config; each member draws
+    its own algorithm, rate and traffic seed."""
     rng = random.Random(seed)
     scenario = _fuzz_scenario(seed)
     system = _SYSTEMS[scenario["system"]]()
@@ -224,14 +283,22 @@ def _fuzz_batch(seed: int) -> None:
         if scenario["k"] else None
     )
 
-    def build(system):
-        algo = _ALGOS[scenario["algo"]](system)
-        if faults is not None:
-            algo.set_fault_state(faults)
-        return algo
+    def builder(algo_cls):
+        def build(system):
+            algo = algo_cls(system)
+            if faults is not None:
+                algo.set_fault_state(faults)
+            return algo
 
+        return build
+
+    builders = {name: builder(algo_cls) for name, algo_cls in _ALGOS.items()}
     members = [
-        (rng.choice((0.005, 0.01, 0.02, 0.04)), rng.randrange(1000))
+        (
+            builders[rng.choice(tuple(_ALGOS))],
+            rng.choice((0.005, 0.01, 0.02, 0.04)),
+            rng.randrange(1000),
+        )
         for _ in range(rng.randint(2, 6))
     ]
     cfg = _batch_config(
@@ -239,10 +306,70 @@ def _fuzz_batch(seed: int) -> None:
         vl_serialization=scenario["vl_ser"],
         watchdog_cycles=0,
     )
-    _run_batch_lockstep(build, system, members, cfg, cycles=min(scenario["cycles"], 200))
+    _run_batch_lockstep(system, members, cfg, cycles=min(scenario["cycles"], 200))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", tuple(range(200, 208)))
 def test_batch_lockstep_fuzz(seed):
     _fuzz_batch(seed)
+
+
+# ----------------------------------------------------------------------
+# who may share a batch
+# ----------------------------------------------------------------------
+
+
+def _member(system, algo, cfg, routes="auto"):
+    return Simulator(
+        system, algo, UniformTraffic(system, 0.01, seed=1),
+        config=cfg, routes=routes, kernel="vector",
+    )
+
+
+def test_batch_lockstep_accepts_different_algorithms():
+    system = baseline_4_chiplets()
+    cfg = _batch_config()
+    sims = [_member(system, cls(system), cfg) for cls in (DeftRouting, MtrRouting, RcRouting)]
+    Simulator.lockstep(sims)
+    assert {sim.kernel.batch for sim in sims} == {sims[0].kernel.batch}
+
+
+@pytest.mark.parametrize("mismatch", ["system", "fault state", "config"])
+def test_batch_lockstep_rejects_unshared_context(mismatch):
+    system = baseline_4_chiplets()
+    cfg = _batch_config()
+    other = MtrRouting(baseline_4_chiplets() if mismatch == "system" else system)
+    if mismatch == "fault state":
+        other.set_fault_state(fault_pattern_12p5(system))
+    sims = [
+        _member(system, DeftRouting(system), cfg),
+        _member(
+            other.system, other,
+            _batch_config(measure_cycles=301) if mismatch == "config" else cfg,
+        ),
+    ]
+    with pytest.raises(ValueError, match="must share system, fault state and config"):
+        Simulator.lockstep(sims)
+
+
+def test_batch_key_ignores_algorithm_but_splits_context():
+    def job(algorithm="deft", system=SystemRef.baseline4(), config=_batch_config(),
+            rate=0.004, **kwargs):
+        traffic = TrafficSpec.make("uniform", rate=rate)
+        return Job.make(system, algorithm, traffic, config, **kwargs)
+
+    key = batch_key(job())
+    for same in (
+        job(algorithm="mtr"),
+        job(algorithm="rc"),
+        job(algorithm_params={"rho": 0.5}),
+        job(rate=0.02, seed=9),
+    ):
+        assert batch_key(same) == key
+    for split in (
+        job(faults=((0, "down"),)),
+        job(system=SystemRef.baseline6()),
+        job(config=_batch_config(num_vcs=4)),
+    ):
+        assert batch_key(split) not in (None, key)

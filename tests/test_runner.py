@@ -1,5 +1,6 @@
 """Campaign runner: job hashing, cache semantics, campaign plumbing."""
 
+import dataclasses
 import json
 
 import pytest
@@ -16,8 +17,11 @@ from repro.runner import (
     SystemRef,
     TrafficSpec,
     execute_job,
+    execute_jobs,
     faults_to_spec,
 )
+from repro.runner import execute as execute_module
+from repro.runner.session import SessionContext
 
 
 @pytest.fixture()
@@ -450,3 +454,73 @@ class TestKernelCacheIdentity:
         cache.put(vec_job, execute_job(vec_job))
         hit = cache.get(tiny_job(tiny_config, kernel="reference"))
         assert hit is not None and hit.cached
+
+
+class TestBatchedExecution:
+    """``execute_jobs``: mixed-algorithm lockstep batches in the runner."""
+
+    @staticmethod
+    def _record_batch_sizes(monkeypatch) -> dict:
+        sizes: dict = {}
+        original = execute_module._simulation_result
+
+        def spy(key, report, sampled, duration_s):
+            sizes[key] = report.metadata["batch"]
+            return original(key, report, sampled, duration_s)
+
+        monkeypatch.setattr(execute_module, "_simulation_result", spy)
+        return sizes
+
+    def test_batch_isolates_a_failing_algorithm_spec(self, monkeypatch, tiny_config):
+        bad = tiny_job(tiny_config, algorithm="mtr", algorithm_params={"rho": 0.5})
+        mates = [
+            tiny_job(tiny_config, algorithm="deft"),
+            tiny_job(tiny_config, algorithm="rc"),
+            tiny_job(tiny_config, algorithm="mtr", rate=0.008),
+        ]
+        sizes = self._record_batch_sizes(monkeypatch)
+        results = execute_jobs([mates[0], bad, *mates[1:]], session=SessionContext())
+        failed = results[1]
+        expected = execute_job(bad, session=SessionContext())
+        assert not failed.ok and failed.error == expected.error
+        assert "ConfigurationError" in failed.error
+        for job, result in zip(mates, results[:1] + results[2:]):
+            assert result.ok, result.error
+            assert sizes[job.key()] == len(mates)
+            assert result == execute_job(dataclasses.replace(job, kernel="reference"))
+
+    def test_batch_phase_shares_sum_to_batch_wall_clock(self, monkeypatch, tiny_config):
+        class Clock:
+            """Deterministic perf_counter: one tick per reading."""
+
+            readings: list = []
+
+            @classmethod
+            def perf_counter(cls):
+                cls.readings.append(float(len(cls.readings)))
+                return cls.readings[-1]
+
+        jobs = [
+            tiny_job(tiny_config, algorithm=algorithm, rate=rate)
+            for algorithm in ("deft", "mtr", "rc")
+            for rate in (0.004, 0.008)
+        ]
+        sizes = self._record_batch_sizes(monkeypatch)
+        monkeypatch.setattr(execute_module, "time", Clock)
+        phases: list[dict] = []
+        results = execute_jobs(
+            jobs, session=SessionContext(),
+            on_result=lambda index, result, split: phases.append(split),
+        )
+        assert all(result.ok for result in results)
+        assert set(sizes.values()) == {len(jobs)}
+        wall = Clock.readings[-1] - Clock.readings[0]
+        assert sum(split["total_s"] for split in phases) == pytest.approx(wall)
+        for split in phases:
+            assert split["setup_s"] + split["compile_s"] + split["simulate_s"] == (
+                pytest.approx(split["total_s"])
+            )
+        # One compile per distinct algorithm, each one tick long, charged
+        # apart from the builds.
+        assert sum(split["compile_s"] for split in phases) == pytest.approx(3.0)
+        assert sum(split["setup_s"] for split in phases) > 0

@@ -7,7 +7,9 @@ the digest; such a change must bump ``SPEC_VERSION`` (which invalidates
 every cached result) and pin the new digest here. The digest must come
 out of both execution paths: the serial backend (lockstep batches of the
 vector kernel) and per-job ``execute_job`` on the reference kernel with
-live routing.
+live routing. On the serial backend the DeFT, MTR and RC jobs share one
+mixed-algorithm lockstep batch, so the golden digest also pins such a
+batch against the reference kernel.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.runner import (
     execute_jobs,
     faults_to_spec,
 )
+from repro.runner import execute as execute_module
 from repro.runner.session import SessionContext
 from repro.runner.spec import SPEC_VERSION
 from repro.topology.presets import baseline_4_chiplets
@@ -70,8 +73,19 @@ def digest(results) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_serial_backend_reproduces_the_pinned_digest():
+def test_serial_backend_reproduces_the_pinned_digest(monkeypatch):
+    batch_sizes = []
+    original = execute_module._simulation_result
+
+    def spy(key, report, sampled, duration_s):
+        batch_sizes.append((report.algorithm, report.metadata["batch"]))
+        return original(key, report, sampled, duration_s)
+
+    monkeypatch.setattr(execute_module, "_simulation_result", spy)
     assert digest(SerialBackend().run(canonical_jobs())) == GOLDEN[SPEC_VERSION]
+    # DeFT, MTR and RC (no faults) ran as one mixed-algorithm batch; the
+    # faulted DeFT-Ran job has no batch-mate and ran alone.
+    assert sorted(batch_sizes) == [("DeFT", 3), ("DeFT-Ran", 1), ("MTR", 3), ("RC", 3)]
 
 
 def test_reference_kernel_reproduces_the_pinned_digest():
