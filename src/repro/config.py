@@ -111,7 +111,8 @@ class SimulationConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain dictionary (JSON-compatible)."""
-        return dataclasses.asdict(self)
+        # Every field is a scalar, so a shallow copy is a full one.
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     def to_json(self) -> str:
         """Serialize to a JSON string."""
@@ -130,6 +131,9 @@ class SimulationConfig:
     def from_json(cls, text: str) -> "SimulationConfig":
         """Inverse of :meth:`to_json`."""
         return cls.from_dict(json.loads(text))
+
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SimulationConfig))
 
 
 @dataclass(frozen=True)

@@ -287,8 +287,8 @@ def _drain_batch(
     """Execute every job in one claimed batch and land the results.
 
     Successful results are buffered and flushed with ``cache.put_many``
-    — one temp-dir + rename pass per flush instead of per-job write
-    churn — and only *then* marked settled in the lease, so settlement
+    — one segment per flush, streamed to a ``.tmp`` and published by
+    one rename — and only *then* marked settled in the lease, so settlement
     never outruns durability. Flushes happen when ``_FLUSH_S`` of work
     has accumulated and at batch end; a crash in between requeues those
     jobs, whose re-execution short-circuits on the cache.

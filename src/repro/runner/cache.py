@@ -1,30 +1,66 @@
-"""Content-addressed on-disk JSON result cache.
+"""Content-addressed, log-structured on-disk result cache.
 
-A job's cache path is derived from ``job.key()`` — a SHA-256 over the
-canonical job spec (including the spec version) — so repeated or
-overlapping campaigns are incremental: any point already simulated under
-the same spec is served from disk. Files are sharded by the first two
-hex digits (``<root>/ab/abcdef....json``) to keep directories small, and
-written atomically (temp file + rename) so a killed run never leaves a
-truncated entry behind.
+A job's cache key is ``job.key()`` — a SHA-256 over the canonical job
+spec (including the spec version) — so repeated or overlapping campaigns
+are incremental: any point already simulated under the same spec is
+served from disk.
+
+Layout. Results live in immutable *segment* files,
+``<root>/segments/<writer>/<seq>.seg``. Every
+:meth:`ResultCache.put_many` call writes one segment: the records stream
+into ``<seq>.tmp``, which is renamed into place, so a segment appears
+whole or not at all and a killed run leaves at most an orphaned ``.tmp``
+behind. ``<writer>`` is a random token drawn by each cache object in each
+process at its first write, and ``<seq>`` counts that writer's segments
+from ``000000`` without gaps, so concurrent workers and sharded drivers
+never collide. After each rename the writer touches ``segments/``. A
+segment is a ``deft-segment 1`` line followed by records, each a text
+header ``<key> <json|gzip> <length> <sha256>``, a newline, ``length``
+payload bytes and a newline. The payload is the JSON ``{"version",
+"job", "result"}``; with ``compress=True`` it is a gzip member of that
+JSON (mtime 0, so equal content is byte-identical). The SHA-256 covers
+the payload bytes as stored. Readers serve both kinds from one cache.
 
 Only successful results are persisted: errors and timeouts are
 environment artefacts, not properties of the spec, and must be retried
 on the next campaign.
 
-Entries can optionally be gzip-compressed (``ResultCache(root,
-compress=True)`` writes ``<key>.json.gz``); reads transparently accept
-both forms, so a cache can be migrated — or shared between compressing
-and non-compressing campaigns — without invalidation. Large Monte Carlo
-caches are mostly repetitive JSON structure and compress well.
+Index. ``get`` and ``has_key`` find records through an in-process index,
+key -> (segment name, offset, size). Building it reads record headers
+only and seeks past payloads. On CPython 3.11 it costs about 150 bytes
+per record the process wrote itself (the key string is the job's own)
+and about 260 bytes per record indexed from another process's segment.
+The index holds locations only: every ``get`` reads the record's bytes
+from its segment and checks the key, the length and the digest before
+parsing, so a garbled record is a miss even when it is still valid JSON.
+A record that fails the check, or whose segment is gone, is dropped from
+the index and counted in :attr:`ResultCache.corrupt`; ``stats`` reports
+a garbled record still on disk as ``corrupt``.
+
+Discovery. A miss picks up segments published since the last look. While
+``segments/`` is quiet that costs one ``stat``. The reader looks again
+only when the directory's mtime moved, or when that mtime is within 2 s
+of its last look: mtimes come from a coarse clock (ext4 ticks, NFS up to
+a second), so a publish just after a look can leave the mtime where it
+was. Looking again lists ``segments/`` (one entry per writer), reads
+every segment of a writer it has not seen before, and probes each known
+writer's next ``<seq>.seg`` with one ``open``, so it never lists the
+segments themselves.
+
+Caches written in the old one-file-per-job layout (``<root>/ab/<key>.json``
+or ``.json.gz``) are not read: their results are recomputed from their
+specs. ``deft cache stats`` counts those files as stale and ``deft cache
+prune`` deletes them.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import os
-import tempfile
+import secrets
+import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,14 +73,77 @@ from .spec import SPEC_VERSION, Job
 #: the ``deft campaign`` CLI when ``--cache-dir`` is not given.
 DEFAULT_CACHE_DIR = ".deft-cache"
 
+SEGMENTS = "segments"
+MAGIC = b"deft-segment 1\n"
+#: How long after a listing a directory mtime is still ambiguous.
+LISTING_WINDOW_NS = 2_000_000_000
+#: Longest valid record header: key, kind, length and digest.
+_HEADER_MAX = 64 + 1 + 4 + 1 + 20 + 1 + 64 + 1
+_KINDS = {b"json": False, b"gzip": True}
+#: What reading or verifying a garbled record can raise.
+_GARBLED = (OSError, EOFError, zlib.error, ValueError, KeyError, TypeError)
+
+
+def _parse_header(line: bytes) -> tuple[str, bool, int, str] | None:
+    """(key, gzip?, payload length, digest) of one header line, or None."""
+    parts = line.split(b" ")
+    if len(parts) != 4 or not line.endswith(b"\n"):
+        return None
+    key, kind, length, digest = parts
+    if len(key) != 64 or kind not in _KINDS or not length.isdigit() \
+            or not (key + digest).isascii():
+        return None
+    return key.decode("ascii"), _KINDS[kind], int(length), digest[:-1].decode("ascii")
+
+
+def _open_record(raw: bytes) -> tuple[str, bool, dict]:
+    """(key, gzip?, payload) of one record's bytes, verified.
+
+    Raises one of ``_GARBLED`` when the framing, length or digest does not
+    check out, or the payload does not decode.
+    """
+    cut = raw.find(b"\n") + 1
+    header = _parse_header(raw[:cut]) if cut else None
+    if header is None or not raw.endswith(b"\n"):
+        raise ValueError("garbled record header")
+    key, packed, length, digest = header
+    payload = raw[cut:-1]
+    if len(payload) != length or hashlib.sha256(payload).hexdigest() != digest:
+        raise ValueError("record digest mismatch")
+    if packed:
+        payload = gzip.decompress(payload)
+    data = json.loads(payload)
+    if data["result"]["job_key"] != key:
+        raise ValueError("record result names another job")
+    return key, packed, data
+
+
+def _records(data: bytes):
+    """Split a whole segment into its records' raw bytes.
+
+    A record whose header cannot be parsed ends the walk with the rest of
+    the segment as one record: the bytes after it have no trustworthy
+    framing, so they count as one corrupt record.
+    """
+    if not data.startswith(MAGIC):
+        yield data
+        return
+    offset = len(MAGIC)
+    while offset < len(data):
+        cut = data.find(b"\n", offset, offset + _HEADER_MAX) + 1
+        header = _parse_header(data[offset:cut]) if cut else None
+        end = cut + header[2] + 1 if header else len(data)
+        yield data[offset:end]
+        offset = end
+
 
 @dataclass(frozen=True)
 class CacheStats:
     """On-disk census of a cache directory (``deft cache stats``)."""
 
-    entries: int      #: servable entries written under the current SPEC_VERSION
-    stale: int        #: entries from other spec versions — never served
-    corrupt: int      #: unreadable/garbled entries — treated as misses
+    entries: int      #: servable results (distinct keys) under the current SPEC_VERSION
+    stale: int        #: records of other spec versions and old-layout files — never served
+    corrupt: int      #: records that fail their digest or do not parse — treated as misses
     tmp_files: int    #: orphaned ``.tmp`` files left behind by killed runs
     total_bytes: int  #: bytes across everything counted above
     compressed: int = 0  #: how many of ``entries`` are gzip-compressed
@@ -82,12 +181,12 @@ class CacheStats:
 
 
 class ResultCache:
-    """Maps canonical job specs to stored :class:`JobResult` JSON files.
+    """Maps canonical job specs to :class:`JobResult` records in segments.
 
     Args:
         root: cache directory.
-        compress: gzip new entries (``<key>.json.gz``). Reads always
-            accept both forms regardless of this flag, so mixed caches
+        compress: gzip the payload of each new record. Reads always
+            accept both kinds regardless of this flag, so mixed caches
             stay fully servable.
     """
 
@@ -96,237 +195,307 @@ class ResultCache:
         self.compress = compress
         self.hits = 0
         self.misses = 0
+        #: Reads that found a record garbled or its segment gone.
+        self.corrupt = 0
+        self._dir = str(self.root / SEGMENTS)
+        self._index: dict[str, tuple[str, int, int]] = {}
+        #: Known writers -> the sequence number of their next segment.
+        self._next: dict[str, int] = {}
+        self._listed: tuple[int, int] | None = None  # (dir mtime, listed at), ns
+        self._writer: tuple[int, str] | None = None  # (pid, token)
+        self._seq = 0
 
-    def path_for(self, job: Job) -> Path:
-        """Where :meth:`put` would write this job's entry."""
-        key = job.key()
-        suffix = ".json.gz" if self.compress else ".json"
-        return self.root / key[:2] / f"{key}{suffix}"
+    # -- discovery --------------------------------------------------------
 
-    def _candidate_paths(self, job: Job) -> tuple[Path, Path]:
-        """Both storable forms, the configured one first."""
-        key = job.key()
-        shard = self.root / key[:2]
-        plain = shard / f"{key}.json"
-        packed = shard / f"{key}.json.gz"
-        return (packed, plain) if self.compress else (plain, packed)
+    def _discover(self) -> bool:
+        """Index segments published since the last look; True if any were."""
+        listed_at = time.time_ns()
+        try:
+            mtime = os.stat(self._dir).st_mtime_ns
+            if self._listed is not None and mtime == self._listed[0] \
+                    and mtime < self._listed[1] - LISTING_WINDOW_NS:
+                return False
+            writers = os.listdir(self._dir)
+        except FileNotFoundError:
+            return False
+        self._listed = (mtime, listed_at)
+        found = False
+        for writer in writers:
+            seq = self._next.get(writer)
+            if seq is None:
+                found |= self._adopt(writer)
+                continue
+            while self._index_segment(f"{writer}/{seq:06d}.seg"):
+                seq += 1
+                found = True
+            self._next[writer] = seq
+        return found
 
-    @staticmethod
-    def _read_payload(path: Path) -> dict:
-        """Load one entry, decompressing by file name."""
-        if path.name.endswith(".gz"):
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                return json.load(handle)
-        return json.loads(path.read_text())
+    def _adopt(self, writer: str) -> bool:
+        """Index every segment of a writer seen for the first time."""
+        try:
+            names = os.listdir(os.path.join(self._dir, writer))
+        except OSError:
+            names = []
+        seqs = sorted(
+            int(name[:-4]) for name in names
+            if name.endswith(".seg") and name[:-4].isdigit()
+        )
+        for seq in seqs:
+            self._index_segment(f"{writer}/{seq:06d}.seg")
+        self._next[writer] = seqs[-1] + 1 if seqs else 0
+        return bool(seqs)
+
+    def _index_segment(self, name: str) -> bool:
+        """Add one segment's records to the index, reading headers only.
+
+        Returns whether the segment exists.
+        """
+        try:
+            with open(os.path.join(self._dir, name), "rb") as handle:
+                if handle.readline() != MAGIC:
+                    return True
+                offset = len(MAGIC)
+                while True:
+                    line = handle.readline(_HEADER_MAX)
+                    header = _parse_header(line)
+                    if header is None:
+                        break
+                    size = len(line) + header[2] + 1
+                    self._index[header[0]] = (name, offset, size)
+                    offset += size
+                    handle.seek(offset)
+        except OSError:
+            return False
+        return True
+
+    # -- lookups ----------------------------------------------------------
+
+    def _load(self, key: str, where: tuple[str, int, int]) -> JobResult | None:
+        """Read and verify one indexed record; a bad one leaves the index."""
+        name, offset, size = where
+        try:
+            fd = os.open(os.path.join(self._dir, name), os.O_RDONLY)
+            try:
+                raw = os.pread(fd, size, offset)
+            finally:
+                os.close(fd)
+            found, _, payload = _open_record(raw)
+            if found != key:
+                raise ValueError("record holds another key")
+            result = JobResult.from_dict(payload["result"])
+            result.job_key = key  # one string per job, not one per read
+        except _GARBLED:
+            # A digest mismatch, a short read or a vanished segment: the
+            # fresh result will be written to a new segment.
+            self._index.pop(key, None)
+            self.corrupt += 1
+            return None
+        if payload.get("version") != SPEC_VERSION or not result.ok:
+            return None
+        return result
 
     def get(self, job: Job) -> JobResult | None:
-        """The cached result for a job, or None (corrupt entries = miss)."""
-        for path in self._candidate_paths(job):
-            try:
-                payload = self._read_payload(path)
-                result = JobResult.from_dict(payload["result"])
-            except FileNotFoundError:
-                continue
-            except (OSError, EOFError, zlib.error, json.JSONDecodeError,
-                    KeyError, TypeError, ValueError):
-                # A truncated/garbled entry — EOFError/zlib.error are
-                # gzip's truncation/corruption signals, e.g. from a
-                # partial copy of a shared cache — is treated as a miss
-                # and will be overwritten by the fresh result.
-                continue
-            if payload.get("version") != SPEC_VERSION or not result.ok:
-                continue
-            self.hits += 1
+        """The cached result for a job, or None (corrupt records = miss)."""
+        key = job.key()
+        where = self._index.get(key)
+        if where is None and self._discover():
+            where = self._index.get(key)
+        result = self._load(key, where) if where is not None else None
+        if result is None:
+            self.misses += 1
             get_registry().counter(
-                "deft_cache_hits_total", "Result-cache lookups served from disk"
+                "deft_cache_misses_total", "Result-cache lookups that missed"
             ).inc()
-            result.cached = True
-            return result
-        self.misses += 1
+            return None
+        self.hits += 1
         get_registry().counter(
-            "deft_cache_misses_total", "Result-cache lookups that missed"
+            "deft_cache_hits_total", "Result-cache lookups served from disk"
         ).inc()
-        return None
+        result.cached = True
+        return result
 
     def has_key(self, key: str) -> bool:
-        """Whether a servable-looking entry exists for a raw job key.
+        """Whether a record is indexed for a raw job key.
 
         A cheap existence probe for progress accounting (``deft
-        status``): no JSON parse, no version validation — the authority
-        on servability remains :meth:`get`.
+        status``): no read, no digest check — the authority on
+        servability remains :meth:`get`.
         """
-        shard = self.root / key[:2]
-        return (shard / f"{key}.json").exists() or (
-            shard / f"{key}.json.gz"
-        ).exists()
+        return key in self._index or (self._discover() and key in self._index)
 
-    def _encode(self, job: Job, result: JobResult) -> str:
-        return json.dumps(
-            {
-                "version": SPEC_VERSION,
-                "job": job.canonical(),
-                "result": result.to_dict(),
-            }
+    # -- writes -----------------------------------------------------------
+
+    def _record(self, job: Job, result: JobResult) -> bytes:
+        """One record: header line, payload, newline."""
+        payload = '{"version": %d, "job": %s, "result": %s}' % (
+            SPEC_VERSION, job.canonical_json(), json.dumps(result.to_dict()),
         )
+        data = payload.encode("utf-8")
+        kind = b"json"
+        if self.compress:
+            data = gzip.compress(data, mtime=0)
+            kind = b"gzip"
+        digest = hashlib.sha256(data).hexdigest().encode("ascii")
+        header = b"%s %s %d %s\n" % (job.key().encode("ascii"), kind, len(data), digest)
+        return header + data + b"\n"
 
-    def _stage(self, parent: Path, text: str) -> str:
-        """Write one entry to a ``.tmp`` in its shard; returns the name."""
-        fd, tmp_name = tempfile.mkstemp(dir=parent, suffix=".tmp")
-        try:
-            if self.compress:
-                with os.fdopen(fd, "wb") as handle:
-                    # mtime=0 keeps same-content writes byte-identical.
-                    with gzip.GzipFile(
-                        fileobj=handle, mode="wb", mtime=0
-                    ) as packed:
-                        packed.write(text.encode("utf-8"))
-            else:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return tmp_name
+    def _writer_token(self) -> str:
+        """This process's writer token, drawn at its first write."""
+        pid = os.getpid()
+        if self._writer is None or self._writer[0] != pid:
+            self._writer = (pid, secrets.token_hex(8))
+            self._seq = 0
+        return self._writer[1]
 
-    def put(self, job: Job, result: JobResult) -> None:
-        """Persist a successful result; failed results are never cached."""
-        if not result.ok:
-            return
-        get_registry().counter(
-            "deft_cache_writes_total", "Results persisted into the cache"
-        ).inc()
-        path = self.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: concurrent writers of the same key race benignly
-        # (identical content), and readers never observe partial files.
-        tmp_name = self._stage(path.parent, self._encode(job, result))
-        try:
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+    def _publish(self, records) -> tuple[str, list[tuple[int, int]]] | None:
+        """Stream raw records into one new segment; None if there were none.
 
-    def put_many(self, items) -> int:
-        """Persist a batch of successful results; returns how many landed.
-
-        One staging pass (shard mkdirs deduplicated, every entry written
-        to its ``.tmp``) followed by one rename pass, instead of per-job
-        mkdir/write/rename churn — the write half of the batched spool
-        protocol. Each rename is still individually atomic, so readers
-        observe a prefix of the batch mid-flush, never a partial file.
-        Failed results are skipped exactly as :meth:`put` skips them.
+        Returns the segment's name and each record's (offset, size).
         """
-        staged: list[tuple[str, Path]] = []
-        made_dirs: set[Path] = set()
-        landed = 0
+        handle = None
+        placed: list[tuple[int, int]] = []
+        offset = len(MAGIC)
         try:
-            for job, result in items:
-                if not result.ok:
-                    continue
-                path = self.path_for(job)
-                if path.parent not in made_dirs:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    made_dirs.add(path.parent)
-                staged.append(
-                    (self._stage(path.parent, self._encode(job, result)), path)
-                )
-            while staged:
-                tmp_name, path = staged.pop()
-                os.replace(tmp_name, path)
-                landed += 1
+            for record in records:
+                if handle is None:
+                    writer = self._writer_token()
+                    folder = os.path.join(self._dir, writer)
+                    os.makedirs(folder, exist_ok=True)
+                    stem = os.path.join(folder, f"{self._seq:06d}")
+                    handle = open(stem + ".tmp", "wb")
+                    handle.write(MAGIC)
+                handle.write(record)
+                placed.append((offset, len(record)))
+                offset += len(record)
+            if handle is None:
+                return None
+            handle.close()
+            os.replace(stem + ".tmp", stem + ".seg")
         except BaseException:
-            for tmp_name, _ in staged:
+            if handle is not None:
+                handle.close()
                 try:
-                    os.unlink(tmp_name)
+                    os.unlink(stem + ".tmp")
                 except OSError:
                     pass
             raise
-        if landed:
-            get_registry().counter(
-                "deft_cache_writes_total", "Results persisted into the cache"
-            ).inc(landed)
-        return landed
+        name = f"{writer}/{self._seq:06d}.seg"
+        self._seq += 1
+        self._next[writer] = self._seq
+        # The rename changed only the writer's folder: bump segments/ so
+        # readers with a quiet listing look again.
+        os.utime(self._dir)
+        return name, placed
+
+    def put(self, job: Job, result: JobResult) -> None:
+        """Persist a successful result; failed results are never cached."""
+        self.put_many(((job, result),))
+
+    def put_many(self, items) -> int:
+        """Persist successful results as one segment; returns how many landed.
+
+        Records stream to the segment's ``.tmp`` as they are encoded, and
+        one rename publishes them all, so readers see the whole batch or
+        none of it. Failed results are skipped; a batch without a
+        successful result writes nothing.
+        """
+        keys: list[str] = []
+
+        def records():
+            for job, result in items:
+                if result.ok:
+                    keys.append(job.key())
+                    yield self._record(job, result)
+
+        published = self._publish(records())
+        if published is None:
+            return 0
+        name, placed = published
+        for key, (offset, size) in zip(keys, placed):
+            self._index[key] = (name, offset, size)
+        get_registry().counter(
+            "deft_cache_writes_total", "Results persisted into the cache"
+        ).inc(len(keys))
+        return len(keys)
 
     # -- census & maintenance --------------------------------------------
 
-    def _classify(self, path: Path) -> str | None:
-        """One entry's census bucket: 'entries', 'stale' or 'corrupt'.
+    def _census(self):
+        """Classify everything on disk.
 
-        ``None`` means the file vanished between glob and read (a
-        concurrent writer renaming a ``.tmp``, or another prune) — the
-        census simply skips it rather than miscounting or crashing.
+        Yields ``(path, bucket, size, records)``: ``bucket`` is
+        ``segment``, ``stale`` (an old-layout file) or ``tmp``; for a
+        segment, ``records`` lists ``(raw, bucket, gzip?)`` with bucket
+        ``entries``, ``stale``, ``corrupt`` or ``duplicate`` (a second
+        copy of a servable key). Files that vanish mid-walk are skipped.
         """
+        seen: set[str] = set()
+        segments = self.root / SEGMENTS
+        folders = [p for p in sorted(self.root.iterdir()) if p != segments]
+        if segments.is_dir():
+            folders += sorted(segments.iterdir())
+        for folder in folders:
+            if not folder.is_dir():
+                continue
+            for path in sorted(folder.iterdir()):
+                try:
+                    if path.name.endswith(".tmp"):
+                        yield path, "tmp", path.stat().st_size, ()
+                    elif folder.parent == segments:
+                        if path.name.endswith(".seg"):
+                            data = path.read_bytes()
+                            records = [
+                                self._classify(raw, seen) for raw in _records(data)
+                            ]
+                            yield path, "segment", len(data), records
+                    elif path.name.endswith((".json", ".json.gz")):
+                        yield path, "stale", path.stat().st_size, ()
+                except FileNotFoundError:
+                    continue
+
+    @staticmethod
+    def _classify(raw: bytes, seen: set[str]) -> tuple[bytes, str, bool]:
         try:
-            payload = self._read_payload(path)
+            key, packed, payload = _open_record(raw)
             version = payload["version"]
             JobResult.from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
-        except (OSError, EOFError, zlib.error, json.JSONDecodeError, KeyError,
-                TypeError, ValueError):
-            return "corrupt"
-        return "entries" if version == SPEC_VERSION else "stale"
-
-    def _entry_paths(self):
-        """Every stored entry, both plain and gzip-compressed forms."""
-        yield from self.root.glob("*/*.json")
-        yield from self.root.glob("*/*.json.gz")
-
-    @staticmethod
-    def _size(path: Path) -> int | None:
-        try:
-            return path.stat().st_size
-        except OSError:
-            return None
-
-    @staticmethod
-    def _mtime(path: Path) -> float:
-        """Last-modified time; a vanished file counts as brand new (kept)."""
-        try:
-            return path.stat().st_mtime
-        except OSError:
-            return float("inf")
+        except _GARBLED:
+            return raw, "corrupt", False
+        if version != SPEC_VERSION:
+            return raw, "stale", packed
+        if key in seen:
+            return raw, "duplicate", packed
+        seen.add(key)
+        return raw, "entries", packed
 
     def stats(self) -> CacheStats:
         """Walk the cache directory and classify everything in it.
 
-        Unlike the old ``len(cache)`` (which blindly counted ``*.json``
-        files), entries written under a different ``SPEC_VERSION`` — which
-        :meth:`get` will never serve — are reported separately, and
+        Every record is read and its digest checked, so ``corrupt``
+        counts records :meth:`get` would refuse. Records written under a
+        different ``SPEC_VERSION`` and files of the old one-file-per-job
+        layout — which :meth:`get` never serves — are ``stale``, and
         orphaned ``.tmp`` files from killed runs are surfaced instead of
         silently accumulating.
         """
-        counts = {"entries": 0, "stale": 0, "corrupt": 0}
+        counts = {"entries": 0, "stale": 0, "corrupt": 0, "tmp": 0, "duplicate": 0}
         compressed = 0
-        tmp_files = 0
         total_bytes = 0
         if not self.root.is_dir():
             return CacheStats(0, 0, 0, 0, 0)
-        for path in self._entry_paths():
-            bucket = self._classify(path)
-            if bucket is None:
-                continue
-            counts[bucket] += 1
-            if bucket == "entries" and path.name.endswith(".gz"):
-                compressed += 1
-            total_bytes += self._size(path) or 0
-        for path in self.root.glob("*/*.tmp"):
-            size = self._size(path)
-            if size is None:
-                continue
-            tmp_files += 1
+        for _, bucket, size, records in self._census():
             total_bytes += size
+            if bucket != "segment":
+                counts[bucket] += 1
+            for _, kind, packed in records:
+                counts[kind] += 1
+                compressed += kind == "entries" and packed
         return CacheStats(
             entries=counts["entries"],
             stale=counts["stale"],
             corrupt=counts["corrupt"],
-            tmp_files=tmp_files,
+            tmp_files=counts["tmp"],
             total_bytes=total_bytes,
             compressed=compressed,
         )
@@ -339,19 +508,24 @@ class ResultCache:
     ) -> CacheStats:
         """Delete dead weight; returns a census of what was removed.
 
-        By default removes stale-version entries, corrupt entries and
-        orphaned ``.tmp`` files while keeping every servable result;
-        ``older_than_days`` additionally sweeps servable entries whose
-        file mtime is older than that many days (age-based retirement for
-        long-lived caches — results are reproducible from their specs, so
-        old entries only cost disk); ``remove_all`` empties the cache
-        entirely. ``now`` overrides the reference time (tests). Assumes
-        no campaign is concurrently writing to this cache directory.
+        By default removes stale-version records, old-layout files,
+        corrupt records, duplicate copies and orphaned ``.tmp`` files
+        while keeping every servable result; ``older_than_days``
+        additionally sweeps servable records whose segment's mtime is
+        older than that many days (age-based retirement for long-lived
+        caches — results are reproducible from their specs, so old
+        entries only cost disk); ``remove_all`` empties the cache
+        entirely. ``now`` overrides the reference time (tests).
+
+        A segment is rewritten only when it loses some records but not
+        all: the survivors go to a segment under a new name that keeps
+        the old one's mtime, so ``older_than_days`` still ages them by
+        their write time. Assumes no campaign is concurrently writing to
+        this cache directory.
         """
         cutoff: float | None = None
         if older_than_days is not None:
             import math
-            import time
 
             # NaN would make every mtime comparison False and silently
             # sweep the whole cache — the loss --all is meant to gate.
@@ -360,47 +534,65 @@ class ResultCache:
                     f"older_than_days must be a finite value >= 0, got {older_than_days}"
                 )
             cutoff = (now if now is not None else time.time()) - older_than_days * 86_400
-        removed = {"entries": 0, "stale": 0, "corrupt": 0}
+        removed = {"entries": 0, "stale": 0, "corrupt": 0, "tmp": 0, "duplicate": 0}
         compressed_removed = 0
-        tmp_removed = 0
         bytes_removed = 0
         if not self.root.is_dir():
             return CacheStats(0, 0, 0, 0, 0)
-        for path in self._entry_paths():
-            bucket = self._classify(path)
-            if bucket is None:
-                continue
-            if bucket == "entries" and not remove_all:
-                if cutoff is None or self._mtime(path) >= cutoff:
+        # Rewrites go to a fresh writer folder, which the walk never visits.
+        self._writer = None
+        for path, bucket, size, records in self._census():
+            if bucket != "segment":
+                try:
+                    path.unlink()
+                except OSError:
                     continue
-            size = self._size(path)
+                removed[bucket] += 1
+                bytes_removed += size
+                continue
             try:
-                path.unlink()
+                stamp = path.stat().st_mtime_ns
             except OSError:
                 continue
-            removed[bucket] += 1
-            if bucket == "entries" and path.name.endswith(".gz"):
-                compressed_removed += 1
-            bytes_removed += size or 0
-        for path in self.root.glob("*/*.tmp"):
-            size = self._size(path)
-            try:
-                path.unlink()
-            except OSError:
+            sweep_servable = remove_all or (
+                cutoff is not None and stamp < cutoff * 1e9
+            )
+            kept = [
+                raw for raw, kind, _ in records
+                if kind == "entries" and not sweep_servable
+            ]
+            if len(kept) == len(records):
                 continue
-            tmp_removed += 1
-            bytes_removed += size or 0
-        for shard in self.root.iterdir():
+            if kept:
+                published = self._publish(kept)
+                new_path = os.path.join(self._dir, published[0])
+                os.utime(new_path, ns=(stamp, stamp))
+                bytes_removed += size - os.path.getsize(new_path)
+            else:
+                bytes_removed += size
+            path.unlink()
+            for raw, kind, packed in records:
+                if kind != "entries" or sweep_servable:
+                    removed[kind] += 1
+                    compressed_removed += kind == "entries" and packed
+        # Writer folders first, so an emptied segments/ goes too.
+        segments = self.root / SEGMENTS
+        folders = list(segments.iterdir()) if segments.is_dir() else []
+        for folder in folders + list(self.root.iterdir()):
             try:
-                if shard.is_dir() and not any(shard.iterdir()):
-                    shard.rmdir()
+                if folder.is_dir() and not any(folder.iterdir()):
+                    folder.rmdir()
             except OSError:
                 pass
+        # Locations into rewritten or deleted segments are stale now.
+        self._index.clear()
+        self._next.clear()
+        self._listed = None
         return CacheStats(
             entries=removed["entries"],
             stale=removed["stale"],
             corrupt=removed["corrupt"],
-            tmp_files=tmp_removed,
+            tmp_files=removed["tmp"],
             total_bytes=bytes_removed,
             compressed=compressed_removed,
         )

@@ -13,6 +13,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+#: One shared tuple per distinct ``(vl_index, direction)`` fault. Monte
+#: Carlo campaigns hold thousands of results naming the same few faults.
+_FAULT_PAIRS: dict[tuple[int, str], tuple[int, str]] = {}
+
+
+def fault_pair(vl_index: int, direction: str) -> tuple[int, str]:
+    """The shared ``(vl_index, direction)`` tuple for one directed fault."""
+    pair = (vl_index, direction)
+    return _FAULT_PAIRS.setdefault(pair, pair)
+
 
 @dataclass
 class JobResult:
@@ -140,7 +150,7 @@ class JobResult:
             },
             reachability=float(data.get("reachability", math.nan)),
             sampled_faults=tuple(
-                (int(i), str(d)) for i, d in data.get("sampled_faults", ())
+                fault_pair(int(i), str(d)) for i, d in data.get("sampled_faults", ())
             ),
             duration_s=float(data.get("duration_s", 0.0)),
         )

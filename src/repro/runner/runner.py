@@ -6,7 +6,8 @@
 2. **Cache lookup** — previously simulated points are served from the
    :class:`~repro.runner.cache.ResultCache` without touching a backend.
 3. **Execution** — the remaining misses are dispatched to the configured
-   backend (serial or multi-process) and written back to the cache.
+   backend (serial or multi-process) and written back to the cache
+   as one segment.
 
 The returned :class:`CampaignReport` keeps results aligned with the
 submitted jobs, so callers can zip their sweep grid against it directly.
@@ -210,9 +211,7 @@ class CampaignRunner:
             # Backends that already persist results into this same cache
             # as part of executing (the spool's workers write each
             # success before the backend even sees it) must not pay a
-            # second serialize + atomic-replace per job — on the shared
-            # network mounts spool campaigns run over, that write is the
-            # slowest path in the system.
+            # second serialize of every result into another segment.
             write_back = self.cache is not None and not (
                 getattr(self.backend, "persists_results", False)
                 and getattr(self.backend, "cache", None) is not None
@@ -220,8 +219,9 @@ class CampaignRunner:
             )
             for job, result in zip(pending, executed):
                 resolved[job.key()] = result
-                if write_back:
-                    self.cache.put(job, result)
+            if write_back:
+                # One segment for the whole campaign's fresh results.
+                self.cache.put_many(zip(pending, executed))
 
         report = CampaignReport(
             name=campaign.name,

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from ..config import SimulationConfig
 from ..errors import ConfigurationError
 from ..network.kernels import KERNEL_NAMES
+from .result import fault_pair
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fault.model import FaultState
@@ -177,7 +178,10 @@ class TrafficSpec:
 def faults_to_spec(state: "FaultState") -> tuple[tuple[int, str], ...]:
     """Canonical fault tuple for a :class:`~repro.fault.model.FaultState`."""
     return tuple(
-        sorted((fault.vl_index, fault.direction.name.lower()) for fault in state.faults)
+        sorted(
+            fault_pair(fault.vl_index, fault.direction.name.lower())
+            for fault in state.faults
+        )
     )
 
 
@@ -365,7 +369,7 @@ class Job:
             "algorithm_params": {k: v for k, v in self.algorithm_params},
             "traffic": self.traffic.to_dict(),
             "faults": [list(fault) for fault in self.faults],
-            "config": self.config.replace(seed=self.seed).to_dict(),
+            "config": {**self.config.to_dict(), "seed": self.seed},
             "seed": self.seed,
         }
         if self.faults_mode != "explicit":

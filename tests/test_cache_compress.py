@@ -3,7 +3,7 @@
 Contract: ``compress=True`` changes bytes on disk, never results — a
 compressed cache round-trips bit-identical results, mixed caches stay
 fully servable in both directions, and stats/prune account for both
-forms.
+record kinds.
 """
 
 import gzip
@@ -20,6 +20,8 @@ from repro.runner import (
     TrafficSpec,
     execute_job,
 )
+
+from .cache_helpers import find_record, frame, split_record
 
 TINY = SimulationConfig(
     warmup_cycles=30, measure_cycles=100, drain_cycles=1_200, watchdog_cycles=2_000
@@ -45,14 +47,13 @@ class TestCompressedRoundTrip:
         result = execute_job(job)
         cache = ResultCache(tmp_path, compress=True)
         cache.put(job, result)
-        path = cache.path_for(job)
-        assert path.name.endswith(".json.gz")
-        assert path.exists()
-        # Genuinely gzip on disk, and smaller than the JSON it holds.
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        _, raw = find_record(cache, job)
+        fields, packed = split_record(raw)
+        assert fields[1] == b"gzip"
+        # Genuinely one gzip member on disk, smaller than the JSON it holds.
+        payload = json.loads(gzip.decompress(packed))
         assert payload["result"]["job_key"] == job.key()
-        assert path.stat().st_size < len(json.dumps(payload))
+        assert len(packed) < len(json.dumps(payload))
         assert cache.get(job) == result
 
     def test_compressed_cache_through_runner_is_identical(self, tmp_path):
@@ -83,13 +84,18 @@ class TestMixedForms:
         assert ResultCache(tmp_path, compress=True).get(job) == result
 
     def test_corrupt_gzip_entry_is_a_miss(self, tmp_path):
+        """A gzip record whose digest checks out but whose bytes do not
+        decompress is still a miss."""
         job = one_job()
+        writer = tmp_path / "segments" / "forged"
+        writer.mkdir(parents=True)
+        (writer / "000000.seg").write_bytes(
+            b"deft-segment 1\n" + frame(job.key(), b"definitely not gzip", b"gzip")
+        )
         cache = ResultCache(tmp_path, compress=True)
-        path = cache.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"definitely not gzip")
         assert cache.get(job) is None
-        assert cache.misses == 1
+        assert cache.misses == 1 and cache.corrupt == 1
+        assert cache.stats().corrupt == 1
 
 
 class TestStatsAndPrune:

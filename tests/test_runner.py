@@ -23,6 +23,13 @@ from repro.runner import (
 from repro.runner import execute as execute_module
 from repro.runner.session import SessionContext
 
+from .cache_helpers import (
+    find_record,
+    replace_record,
+    rewrite_payload,
+    segment_files,
+)
+
 
 @pytest.fixture()
 def tiny_config():
@@ -203,12 +210,43 @@ class TestResultCache:
         cache.put(job, execute_job(job))
         assert cache.get(job) is None
 
+    @staticmethod
+    def _garble(cache, job):
+        """Overwrite the tail of a record's payload, framing intact."""
+        _, raw = find_record(cache, job)
+        replace_record(cache, job, raw[:-10] + b"{not json\n")
+
     def test_corrupt_entry_is_a_miss(self, tmp_path, tiny_config):
         cache = ResultCache(tmp_path)
         job = tiny_job(tiny_config)
         cache.put(job, execute_job(job))
-        cache.path_for(job).write_text("{not json")
+        self._garble(cache, job)
         assert cache.get(job) is None
+        assert cache.corrupt == 1
+        assert ResultCache(tmp_path).get(job) is None
+
+    def test_parseable_but_altered_payload_is_corrupt(self, tmp_path, tiny_config):
+        """A changed digit that still parses fails the digest: a miss,
+        counted corrupt by the census and swept by prune."""
+        from repro.cli import main
+
+        cache = ResultCache(tmp_path)
+        job, kept = tiny_job(tiny_config), tiny_job(tiny_config, seed=2)
+        cache.put_many([(job, execute_job(job)), (kept, execute_job(kept))])
+
+        def tweak(payload):
+            latency = payload["result"]["average_latency"]
+            payload["result"]["average_latency"] = latency + 1.0
+
+        rewrite_payload(cache, job, tweak, keep_digest=True)
+        assert ResultCache(tmp_path).get(job) is None
+        assert main(["cache", "stats", "--json", "--cache-dir", str(tmp_path)]) == 0
+        stats = ResultCache(tmp_path).stats()
+        assert (stats.entries, stats.corrupt) == (1, 1)
+        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
+        stats = ResultCache(tmp_path).stats()
+        assert (stats.entries, stats.corrupt) == (1, 0)
+        assert ResultCache(tmp_path).get(kept) is not None
 
     def test_len_counts_entries(self, tmp_path, tiny_config):
         cache = ResultCache(tmp_path)
@@ -218,10 +256,10 @@ class TestResultCache:
         assert len(cache) == 1
 
     def _spoil_version(self, cache, job, version=999):
-        path = cache.path_for(job)
-        payload = json.loads(path.read_text())
-        payload["version"] = version
-        path.write_text(json.dumps(payload))
+        rewrite_payload(
+            cache, job, lambda payload: payload.update(version=version),
+            keep_digest=False,
+        )
 
     def test_len_ignores_stale_version_entries(self, tmp_path, tiny_config):
         """Regression: entries `get` will never serve must not be counted."""
@@ -238,10 +276,10 @@ class TestResultCache:
         cache.put(fresh, execute_job(fresh))
         cache.put(stale, execute_job(stale))
         self._spoil_version(cache, stale)
-        cache.path_for(fresh).parent.joinpath("tmpleft.tmp").write_text("x")
+        segment_files(cache)[0].with_name("000009.tmp").write_text("x")
         corrupt = tiny_job(tiny_config, seed=3)
         cache.put(corrupt, execute_job(corrupt))
-        cache.path_for(corrupt).write_text("{not json")
+        self._garble(cache, corrupt)
         stats = cache.stats()
         assert (stats.entries, stats.stale, stats.corrupt, stats.tmp_files) \
             == (1, 1, 1, 1)
@@ -254,7 +292,7 @@ class TestResultCache:
         cache.put(fresh, execute_job(fresh))
         cache.put(stale, execute_job(stale))
         self._spoil_version(cache, stale)
-        cache.path_for(fresh).parent.joinpath("tmpleft.tmp").write_text("x")
+        segment_files(cache)[0].with_name("000009.tmp").write_text("x")
         removed = cache.prune()
         assert (removed.stale, removed.tmp_files) == (1, 1)
         assert removed.entries == 0
@@ -283,7 +321,7 @@ class TestResultCache:
         import time
 
         stamp = time.time() - days * 86_400
-        os.utime(cache.path_for(job), (stamp, stamp))
+        os.utime(find_record(cache, job)[0], (stamp, stamp))
 
     def test_prune_older_than_sweeps_only_old_entries(self, tmp_path, tiny_config):
         cache = ResultCache(tmp_path)
@@ -441,12 +479,9 @@ class TestKernelCacheIdentity:
             # duration_s is wall-clock provenance (excluded from result
             # equality); pin it so the stored bytes are comparable.
             cache.put(job, dataclasses.replace(result, duration_s=0.0))
-            path = cache.path_for(job)
-            entries[kernel] = (path.relative_to(tmp_path / kernel), path.read_bytes())
-        ref_rel, ref_bytes = entries["reference"]
-        vec_rel, vec_bytes = entries["vector"]
-        assert ref_rel == vec_rel  # same key, same shard: one entry
-        assert ref_bytes == vec_bytes
+            entries[kernel] = find_record(cache, job)[1]
+        # Same key in the header, same bytes: one entry.
+        assert entries["reference"] == entries["vector"]
 
     def test_vector_entry_serves_reference_job(self, tmp_path, tiny_config):
         cache = ResultCache(tmp_path)

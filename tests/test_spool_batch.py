@@ -32,6 +32,8 @@ from repro.runner.result import JobResult
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.status import fleet_status
 
+from .cache_helpers import find_record, segment_files, split_record
+
 TINY = SimulationConfig(
     warmup_cycles=30, measure_cycles=100, drain_cycles=1_200, watchdog_cycles=2_000
 )
@@ -455,17 +457,16 @@ class TestPutMany:
         for job, result in pairs:
             one.put(job, result)
         many.put_many(pairs)
+        assert len(segment_files(one)) == 3 and len(segment_files(many)) == 1
         for job, _ in pairs:
-            assert (
-                many.path_for(job).read_bytes() == one.path_for(job).read_bytes()
-            )
+            assert find_record(many, job)[1] == find_record(one, job)[1]
 
     def test_put_many_compressed(self, tmp_path):
         pairs = self.job_results(2)
         cache = ResultCache(tmp_path, compress=True)
         assert cache.put_many(pairs) == 2
         for job, _ in pairs:
-            assert cache.path_for(job).name.endswith(".json.gz")
+            assert split_record(find_record(cache, job)[1])[0][1] == b"gzip"
             assert cache.get(job) is not None
 
 
