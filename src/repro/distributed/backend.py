@@ -18,6 +18,7 @@ autospawned workers (dead ones are respawned within a bounded budget).
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -36,28 +37,38 @@ from .spool import DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS, MAX_BATCH, Spool
 #: Respawned worker budget, as a multiple of the configured worker count.
 _RESPAWN_FACTOR = 2
 
-#: Auto batch sizing targets about this much work under each lease:
-#: enough to amortize the per-lease filesystem round-trips over short
-#: jobs, short enough that a crashed worker forfeits only ~2s of work.
+#: Auto batch sizing puts at most about this much recorded work under
+#: each lease: enough to amortize the per-lease filesystem round-trips
+#: over short jobs, while jobs longer than this get a lease each.
 TARGET_LEASE_WORK_S = 2.0
+
+#: Auto batch sizing leaves at least this many leases per worker, so a
+#: campaign spreads over the whole fleet and the last leases even out.
+LEASES_PER_WORKER = 4
 
 #: How many trailing ``job_finished`` durations inform auto sizing.
 _SIZING_WINDOW = 256
 
 
-def auto_batch_size(spool_root: str | Path) -> int:
-    """Job-size-aware batch size from the spool's own execution history.
+def auto_batch_size(spool_root: str | Path, jobs: int, workers: int) -> int:
+    """Jobs per lease for a campaign of ``jobs`` unique jobs on ``workers``.
 
-    Reads the trailing window of non-cached ``job_finished`` durations
-    from the spool's merged event streams (the cross-process record the
-    ``deft_job_phase_*`` histograms are built from) and sizes batches to
-    ~:data:`TARGET_LEASE_WORK_S` of work per lease, clamped to
-    [1, ``MAX_BATCH``]: sub-second MC jobs batch aggressively, long
-    simulate jobs stay at 1 so crash requeue keeps per-job granularity.
-    A spool with no history yet sizes to 1 (one job per lease, so a
-    crash forfeits the least work) — pin ``--batch`` explicitly for a
-    cold spool's first campaign if its job sizes are known.
+    Two bounds, the smaller wins, clamped to [1, ``MAX_BATCH``]:
+
+    * *spread*: ``ceil(jobs / (LEASES_PER_WORKER * max(1, workers)))``,
+      so every worker gets at least :data:`LEASES_PER_WORKER` leases;
+    * *history*: about :data:`TARGET_LEASE_WORK_S` of work per lease,
+      from the trailing window of non-cached ``job_finished`` durations
+      in the spool's merged event streams (the cross-process record the
+      ``deft_job_phase_*`` histograms are built from). Sub-second MC
+      jobs batch aggressively, long simulate jobs stay at 1. A spool
+      with no history yet has no such bound.
+
+    A large lease costs little on a crash: workers flush results and
+    settle them in the lease at most ``min(1 s, lease / 4)`` apart, and
+    a crashed lease requeues only its unsettled remainder.
     """
+    size = math.ceil(jobs / (LEASES_PER_WORKER * max(1, workers)))
     durations: list[float] = []
     for record in read_all_events(spool_root):
         if record.get("event") != "job_finished" or record.get("cached"):
@@ -66,12 +77,11 @@ def auto_batch_size(spool_root: str | Path) -> int:
         if isinstance(duration, (int, float)) and duration >= 0:
             durations.append(float(duration))
     durations = durations[-_SIZING_WINDOW:]
-    if not durations:
-        return 1
-    mean = sum(durations) / len(durations)
-    if mean <= 0:
-        return MAX_BATCH
-    return max(1, min(MAX_BATCH, round(TARGET_LEASE_WORK_S / mean)))
+    if durations:
+        mean = sum(durations) / len(durations)
+        if mean > 0:
+            size = min(size, round(TARGET_LEASE_WORK_S / mean))
+    return max(1, min(MAX_BATCH, size))
 
 
 def _worker_command(
@@ -120,8 +130,9 @@ class SpoolBackend(ExecutionBackend):
             timeout are safe as long as their worker heartbeats.
         use_session: passed through to autospawned workers.
         batch: jobs per spool lease — an int (clamped to
-            [1, ``MAX_BATCH``]) or ``"auto"`` to size from the spool's
-            job-duration history (:func:`auto_batch_size`).
+            [1, ``MAX_BATCH``]) or ``"auto"`` to size from the campaign,
+            the worker count and the spool's job-duration history
+            (:func:`auto_batch_size`).
     """
 
     def __init__(
@@ -283,6 +294,14 @@ class SpoolBackend(ExecutionBackend):
     def run(
         self, jobs: Sequence[Job], on_result: ProgressFn | None = None
     ) -> list[JobResult]:
+        """Enqueue ``jobs``, then wait until each has a terminal result.
+
+        Each sweep looks at the shared state once: one cache discovery
+        (:meth:`ResultCache.refresh`) and one ``failed/`` listing. Only
+        keys the cache index now holds are read with ``cache.get``, and
+        only keys in the listing with ``failed_result``. Between sweeps
+        the backend reaps expired leases and supervises its workers.
+        """
         if not jobs:
             return []
         if self._closed:
@@ -296,7 +315,7 @@ class SpoolBackend(ExecutionBackend):
         for job in jobs:
             unique.setdefault(job.key(), job)
         batch_size = (
-            auto_batch_size(self.spool.root)
+            auto_batch_size(self.spool.root, len(unique), self.workers)
             if self.batch == "auto"
             else self.batch
         )
@@ -309,15 +328,17 @@ class SpoolBackend(ExecutionBackend):
         last_progress = time.monotonic()
         while len(resolved) < len(unique):
             progressed = False
+            self.cache.refresh()
+            failed = self.spool.failed_keys()
             for key, job in unique.items():
                 if key in resolved:
                     continue
-                result = self.cache.get(job)
+                result = self.cache.get(job) if self.cache.indexed(key) else None
                 if result is not None:
                     # Freshly executed this campaign (the runner already
                     # served pre-existing hits) — report it as such.
                     result.cached = False
-                else:
+                elif key in failed:
                     result = self.spool.failed_result(key)
                 if result is None:
                     continue

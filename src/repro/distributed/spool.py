@@ -313,14 +313,7 @@ class Spool:
         self.ensure()
         batch_size = max(1, min(int(batch_size), MAX_BATCH))
         in_flight = self._in_flight_keys()
-        _fs_ops()  # one failed/ scan replaces per-job unlink attempts
-        try:
-            failed_keys = {
-                path.name[: -len(".json")]
-                for path in self.failed_dir.glob("*.json")
-            }
-        except OSError:
-            failed_keys = set()
+        failed_keys = self.failed_keys()  # replaces per-job unlink attempts
         fresh: list[Job] = []
         seen: set[str] = set(in_flight)
         for job in jobs:
@@ -742,6 +735,15 @@ class Spool:
             self.failed_dir / f"{key}.json",
             {"result": result.to_dict(), "attempts": attempts},
         )
+
+    def failed_keys(self) -> set[str]:
+        """Keys with a terminal failure on record, from one ``failed/`` listing."""
+        _fs_ops()
+        try:
+            names = os.listdir(self.failed_dir)
+        except OSError:
+            return set()
+        return {name[:-5] for name in names if name.endswith(".json")}
 
     def failed_result(self, key: str) -> JobResult | None:
         payload = _read_json(self.failed_dir / f"{key}.json")

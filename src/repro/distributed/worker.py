@@ -332,6 +332,10 @@ def _drain_batch(
         last_flush = time.perf_counter()
 
     def run_entries() -> None:
+        # One discovery per claim, under the lease's heartbeat: results
+        # other writers published before it (a requeued remainder, an
+        # overlapping campaign) are then indexed.
+        cache.refresh()
         for index, entry in enumerate(batch.entries):
             if entry.key in batch.done:
                 continue
@@ -387,15 +391,16 @@ def _execute_entry(
 ):
     """Execute one job of a claimed batch; stage its result for flushing.
 
-    A result another worker already published (duplicate execution after
-    a lease expiry, or an overlapping campaign) short-circuits the run —
-    the cache is the source of truth either way. Failed executions are
+    A result already in the cache index (published by another worker
+    before this batch was claimed, after a lease expiry or by an
+    overlapping campaign) short-circuits the run — the cache is the
+    source of truth either way. Failed executions are
     requeued for a fresh attempt until ``max_attempts``, then recorded
     terminally in the spool.
     """
     job: Job = entry.job
     cache_start = time.perf_counter()
-    cached = cache.get(job)
+    cached = cache.get(job) if cache.indexed(entry.key) else None
     cache_s = time.perf_counter() - cache_start
     if cached is not None:
         events.emit(

@@ -207,8 +207,13 @@ class ResultCache:
 
     # -- discovery --------------------------------------------------------
 
-    def _discover(self) -> bool:
-        """Index segments published since the last look; True if any were."""
+    def refresh(self) -> bool:
+        """Index segments published since the last look; True if any were.
+
+        One discovery (see *Discovery* above). A caller that tests many
+        keys refreshes once and then asks :meth:`indexed` per key, instead
+        of letting every miss look again.
+        """
         listed_at = time.time_ns()
         try:
             mtime = os.stat(self._dir).st_mtime_ns
@@ -299,7 +304,7 @@ class ResultCache:
         """The cached result for a job, or None (corrupt records = miss)."""
         key = job.key()
         where = self._index.get(key)
-        if where is None and self._discover():
+        if where is None and self.refresh():
             where = self._index.get(key)
         result = self._load(key, where) if where is not None else None
         if result is None:
@@ -315,14 +320,22 @@ class ResultCache:
         result.cached = True
         return result
 
-    def has_key(self, key: str) -> bool:
-        """Whether a record is indexed for a raw job key.
+    def indexed(self, key: str) -> bool:
+        """Whether a record is indexed for a raw job key; no I/O at all.
 
-        A cheap existence probe for progress accounting (``deft
-        status``): no read, no digest check — the authority on
-        servability remains :meth:`get`.
+        Sees only what this process wrote or its last discovery found.
         """
-        return key in self._index or (self._discover() and key in self._index)
+        return key in self._index
+
+    def has_key(self, key: str) -> bool:
+        """Whether a record is indexed for a raw job key, looking once on a miss.
+
+        An existence probe for a single key: no read, no digest check —
+        the authority on servability remains :meth:`get`. Each miss may
+        run a discovery; to test many keys, :meth:`refresh` once and use
+        :meth:`indexed`.
+        """
+        return key in self._index or (self.refresh() and key in self._index)
 
     # -- writes -----------------------------------------------------------
 

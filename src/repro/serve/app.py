@@ -210,7 +210,9 @@ class CampaignService:
             if batch == "auto":
                 from ..distributed.backend import auto_batch_size
 
-                batch = auto_batch_size(self.spool.root)
+                batch = auto_batch_size(
+                    self.spool.root, total, len(self.spool.worker_stats())
+                )
             enqueued = self.spool.enqueue(campaign.jobs, batch_size=batch)
         get_registry().counter(
             "deft_serve_submissions_total",

@@ -59,10 +59,7 @@ def fleet_status(
     # -- spool queues and leases -------------------------------------------
     claims = spool.claim_snapshot(now=now)
     stale = [claim for claim in claims if claim["stale"]]
-    failed_keys = {
-        path.name[: -len(".json")]
-        for path in spool.failed_dir.glob("*.json")
-    } if spool.failed_dir.is_dir() else set()
+    failed_keys = spool.failed_keys()
 
     # -- workers -------------------------------------------------------------
     workers = []
@@ -154,6 +151,8 @@ def fleet_status(
 
     # -- campaigns: per-shard progress against manifest key sets -------------
     claimed_keys = {claim["key"] for claim in claims}
+    if cache is not None:
+        cache.refresh()  # one discovery, then index membership per key
     campaigns = []
     for manifest in load_campaign_manifests(spool.root):
         keys = manifest.get("keys", [])
@@ -162,7 +161,7 @@ def fleet_status(
         for key in keys:
             if key in failed_keys:
                 failed += 1
-            elif cache is not None and cache.has_key(key):
+            elif cache is not None and cache.indexed(key):
                 done += 1
         running = sum(1 for key in keys if key in claimed_keys)
         total = manifest.get("total", len(keys))

@@ -427,6 +427,76 @@ class TestBatchWorker:
         assert [cache.get(job) for job in good] == serial_results(good)
 
 
+    def test_job_already_cached_is_served_not_reexecuted(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.distributed.worker as worker_module
+
+        jobs = reachability_jobs(4)
+        reference = serial_results(jobs)
+        spool = Spool(tmp_path / "spool").ensure()
+        spool.enqueue(jobs, batch_size=4)
+        cache = ResultCache(tmp_path / "cache")
+        cache.refresh()  # the worker's cache has looked before the publish
+        # Another writer publishes one job's result before the claim.
+        ResultCache(tmp_path / "cache").put(jobs[1], reference[1])
+        executed = []
+        real_execute = worker_module.execute_job
+
+        def counting_execute(job, **kwargs):
+            executed.append(job.key())
+            return real_execute(job, **kwargs)
+
+        monkeypatch.setattr(worker_module, "execute_job", counting_execute)
+        stats = run_worker(spool.root, cache, worker_id="w0", idle_timeout_s=0.2)
+        assert stats["jobs_done"] == 4
+        assert executed == [job.key() for job in jobs if job is not jobs[1]]
+        assert [cache.get(job) for job in jobs] == reference
+
+
+class TestDriverLookups:
+    def test_one_cache_get_per_resolved_job(self, tmp_path):
+        """The driver reads each result once, and finds a terminal
+        failure through the failed/ listing, while a worker with its
+        own cache object (another writer) drains the spool."""
+        import threading
+
+        bad = Job.make(
+            SystemRef.baseline4(), "bogus",
+            TrafficSpec.make("uniform", rate=0.004), TINY,
+        )
+        jobs = reachability_jobs(6) + [bad]
+        cache = ResultCache(tmp_path / "cache")
+        gets = []
+        real_get = cache.get
+
+        def counting_get(job):
+            gets.append(job.key())
+            return real_get(job)
+
+        cache.get = counting_get
+        backend = SpoolBackend(
+            cache=cache, spool_dir=tmp_path / "spool", workers=0,
+            lease_s=10.0, max_attempts=1, stall_timeout_s=60.0, poll_s=0.02,
+        )
+        worker = threading.Thread(
+            target=run_worker,
+            args=(tmp_path / "spool", ResultCache(tmp_path / "cache")),
+            kwargs={"idle_timeout_s": 2.0, "max_attempts": 1},
+            daemon=True,
+        )
+        worker.start()
+        try:
+            results = backend.run(jobs)
+        finally:
+            backend.close()
+            worker.join(timeout=30.0)
+        assert results[:-1] == serial_results(jobs[:-1])
+        assert not any(result.cached for result in results)
+        assert not results[-1].ok and "ConfigurationError" in results[-1].error
+        assert sorted(gets) == sorted(job.key() for job in jobs[:-1])
+
+
 class TestPutMany:
     def job_results(self, count: int):
         jobs = reachability_jobs(count)
@@ -489,20 +559,29 @@ class TestAutoBatchSizing:
         ]
         (events / "w0.jsonl").write_text("\n".join(lines) + "\n")
 
-    def test_no_history_sizes_to_one(self, tmp_path):
-        assert auto_batch_size(tmp_path) == 1
+    def test_no_history_spreads_campaign_over_workers(self, tmp_path):
+        # ceil(jobs / (4 x workers)), clamped to [1, MAX_BATCH].
+        assert auto_batch_size(tmp_path, 900, 2) == MAX_BATCH == 32
+        assert auto_batch_size(tmp_path, 12, 2) == 2
+        assert auto_batch_size(tmp_path, 3, 2) == 1
+        assert auto_batch_size(tmp_path, 0, 2) == 1
+
+    def test_zero_workers_count_as_one(self, tmp_path):
+        assert auto_batch_size(tmp_path, 12, 0) == auto_batch_size(tmp_path, 12, 1) == 3
 
     def test_short_jobs_batch_aggressively(self, tmp_path):
         self.seed_history(tmp_path, [0.1] * 20)  # 2s target / 0.1s = 20
-        assert auto_batch_size(tmp_path) == 20
+        assert auto_batch_size(tmp_path, 900, 2) == 20
+        # The campaign spread still bounds a small campaign.
+        assert auto_batch_size(tmp_path, 40, 2) == 5
 
     def test_long_jobs_stay_at_one(self, tmp_path):
         self.seed_history(tmp_path, [3.0] * 5)
-        assert auto_batch_size(tmp_path) == 1
+        assert auto_batch_size(tmp_path, 900, 2) == 1
 
     def test_clamped_to_max_batch(self, tmp_path):
         self.seed_history(tmp_path, [0.001] * 10)
-        assert auto_batch_size(tmp_path) == MAX_BATCH
+        assert auto_batch_size(tmp_path, 10_000, 1) == MAX_BATCH
 
     def test_cached_results_do_not_skew_sizing(self, tmp_path):
         events = tmp_path / "manifest" / "events"
@@ -532,7 +611,7 @@ class TestAutoBatchSizing:
             )
         ]
         (events / "w0.jsonl").write_text("\n".join(lines) + "\n")
-        assert auto_batch_size(tmp_path) == 1
+        assert auto_batch_size(tmp_path, 900, 2) == 1
 
     def test_backend_batches_from_history(self, tmp_path):
         """End to end: a spool whose history says ~instant jobs makes the
@@ -545,7 +624,12 @@ class TestAutoBatchSizing:
             lease_s=10.0, stall_timeout_s=60.0, batch="auto",
         ) as backend:
             backend.spool.ensure()
-            backend.spool.enqueue(jobs, batch_size=auto_batch_size(tmp_path / "spool"))
+            backend.spool.enqueue(
+                jobs,
+                batch_size=auto_batch_size(
+                    tmp_path / "spool", len(jobs), backend.workers
+                ),
+            )
             spool = Spool(tmp_path / "spool")
             assert spool.pending_count() == 8
             assert len(batch_files(spool)) >= 1  # history said: batch
