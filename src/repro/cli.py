@@ -825,11 +825,13 @@ def _add_distributed_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", type=_parse_batch_arg, default="auto",
                    metavar="N",
                    help="jobs per spool lease (1-32), or 'auto': the "
-                        "campaign spread over at least 4 leases per worker, "
-                        "capped at ~2s of work per lease once the spool has "
-                        "job-duration history; batching amortizes per-job "
-                        "claim/lease/heartbeat round-trips, and a crash "
-                        "requeues only a lease's unsettled remainder")
+                        "campaign spread over at least 4 leases per known "
+                        "worker (autospawned, or live on the spool), capped "
+                        "at ~2s of work per lease once the spool has "
+                        "job-duration history, 1 with neither; batching "
+                        "amortizes per-job claim/lease/heartbeat "
+                        "round-trips, and a crash requeues only a lease's "
+                        "unsettled remainder")
     p.add_argument("--compress-cache", action="store_true",
                    help="gzip new cache entries (reads accept both forms)")
     p.set_defaults(_parser=p)
@@ -1094,8 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="claim lease duration for enqueued jobs (default 30)")
     p.add_argument("--batch", default="auto", metavar="N|auto",
                    help="jobs per spool lease for submitted campaigns "
-                        "(default: auto-size from the campaign, the workers "
-                        "seen on the spool and job-duration history)")
+                        "(default: auto-size from the campaign, the live "
+                        "workers on the spool and job-duration history)")
     p.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
                    help="SSE tail polling interval")
     p.add_argument("--window", type=float, default=60.0, metavar="SECONDS",

@@ -32,7 +32,13 @@ from ..runner.cache import ResultCache
 from ..runner.result import JobResult
 from ..runner.spec import Job
 from ..telemetry.manifest import read_all_events, write_campaign_manifest
-from .spool import DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS, MAX_BATCH, Spool
+from .spool import (
+    DEFAULT_LEASE_S,
+    DEFAULT_MAX_ATTEMPTS,
+    MAX_BATCH,
+    STALE_WORKER_S,
+    Spool,
+)
 
 #: Respawned worker budget, as a multiple of the configured worker count.
 _RESPAWN_FACTOR = 2
@@ -50,13 +56,39 @@ LEASES_PER_WORKER = 4
 _SIZING_WINDOW = 256
 
 
+def fleet_size(
+    spool: Spool,
+    spawned: int = 0,
+    *,
+    stale_s: float = STALE_WORKER_S,
+    now: float | None = None,
+) -> int:
+    """How many workers can claim ``spool``'s jobs, as far as is known.
+
+    The larger of ``spawned`` (workers the caller starts itself) and the
+    workers whose published stats are at most ``stale_s`` old — the
+    liveness rule of ``deft status``. Stats files of dead workers stay
+    on the spool, so only fresh ones count. 0 when no worker is known.
+    """
+    now = time.time() if now is None else now
+    live = 0
+    for payload in spool.worker_stats().values():
+        updated_at = payload.get("updated_at")
+        if isinstance(updated_at, (int, float)) and now - updated_at <= stale_s:
+            live += 1
+    return max(spawned, live)
+
+
 def auto_batch_size(spool_root: str | Path, jobs: int, workers: int) -> int:
     """Jobs per lease for a campaign of ``jobs`` unique jobs on ``workers``.
 
-    Two bounds, the smaller wins, clamped to [1, ``MAX_BATCH``]:
+    ``workers`` is the fleet size (:func:`fleet_size`). Two bounds, the
+    smaller wins, clamped to [1, ``MAX_BATCH``]:
 
-    * *spread*: ``ceil(jobs / (LEASES_PER_WORKER * max(1, workers)))``,
-      so every worker gets at least :data:`LEASES_PER_WORKER` leases;
+    * *spread*: ``ceil(jobs / (LEASES_PER_WORKER * workers))``, so every
+      worker gets at least :data:`LEASES_PER_WORKER` leases. With no
+      known worker (``workers < 1``) there is nothing to spread over and
+      no such bound: a cold spool then leases one job at a time;
     * *history*: about :data:`TARGET_LEASE_WORK_S` of work per lease,
       from the trailing window of non-cached ``job_finished`` durations
       in the spool's merged event streams (the cross-process record the
@@ -68,7 +100,9 @@ def auto_batch_size(spool_root: str | Path, jobs: int, workers: int) -> int:
     settle them in the lease at most ``min(1 s, lease / 4)`` apart, and
     a crashed lease requeues only its unsettled remainder.
     """
-    size = math.ceil(jobs / (LEASES_PER_WORKER * max(1, workers)))
+    bounds: list[int] = []
+    if workers >= 1:
+        bounds.append(math.ceil(jobs / (LEASES_PER_WORKER * workers)))
     durations: list[float] = []
     for record in read_all_events(spool_root):
         if record.get("event") != "job_finished" or record.get("cached"):
@@ -79,9 +113,10 @@ def auto_batch_size(spool_root: str | Path, jobs: int, workers: int) -> int:
     durations = durations[-_SIZING_WINDOW:]
     if durations:
         mean = sum(durations) / len(durations)
-        if mean > 0:
-            size = min(size, round(TARGET_LEASE_WORK_S / mean))
-    return max(1, min(MAX_BATCH, size))
+        bounds.append(round(TARGET_LEASE_WORK_S / mean) if mean > 0 else MAX_BATCH)
+    if not bounds:
+        return 1
+    return max(1, min(MAX_BATCH, *bounds))
 
 
 def _worker_command(
@@ -315,7 +350,9 @@ class SpoolBackend(ExecutionBackend):
         for job in jobs:
             unique.setdefault(job.key(), job)
         batch_size = (
-            auto_batch_size(self.spool.root, len(unique), self.workers)
+            auto_batch_size(
+                self.spool.root, len(unique), fleet_size(self.spool, self._workers)
+            )
             if self.batch == "auto"
             else self.batch
         )

@@ -109,6 +109,11 @@ PROTOCOL_VERSION = 3
 #: Hard clamp on jobs per batch file / lease (also the auto-sizing cap).
 MAX_BATCH = 32
 
+#: A worker whose ``workers/<id>.json`` snapshot is older than this is
+#: presumed dead: live workers republish it every lease/4 seconds, busy
+#: or idle.
+STALE_WORKER_S = 60.0
+
 #: Pending/lease files: ``batch-<digest>-n<jobs>.json``. The job count
 #: lives in the name so queue depths never require file reads.
 _BATCH_NAME_RE = re.compile(r"^batch-[0-9a-f]+-n(\d+)\.json$")

@@ -233,6 +233,10 @@ def run_worker(
             jobs_failed=stats["jobs_failed"],
         )
 
+    idle_publish_s = (
+        heartbeat_s if heartbeat_s is not None
+        else default_heartbeat_s(spool.lease_s)
+    )
     publish()
     idle_since = time.monotonic()
     try:
@@ -247,6 +251,10 @@ def run_worker(
                 stats["requeues_swept"] += swept
                 if swept:
                     continue
+                if time.time() - stats["updated_at"] >= idle_publish_s:
+                    # An idle worker stays visibly alive, so auto batch
+                    # sizing counts it in the fleet of the next campaign.
+                    publish()
                 if (
                     idle_timeout_s is not None
                     and time.monotonic() - idle_since >= idle_timeout_s
@@ -329,6 +337,10 @@ def _drain_batch(
         if pending_done:
             spool.flush_done(batch, pending_done)
             pending_done.clear()
+        # One discovery per flush: jobs of this lease that other workers
+        # finished meanwhile (after a lease expiry) are then served from
+        # the cache instead of run twice.
+        cache.refresh()
         last_flush = time.perf_counter()
 
     def run_entries() -> None:
@@ -391,12 +403,14 @@ def _execute_entry(
 ):
     """Execute one job of a claimed batch; stage its result for flushing.
 
-    A result already in the cache index (published by another worker
-    before this batch was claimed, after a lease expiry or by an
-    overlapping campaign) short-circuits the run — the cache is the
-    source of truth either way. Failed executions are
-    requeued for a fresh attempt until ``max_attempts``, then recorded
-    terminally in the spool.
+    A result already in the cache index short-circuits the run — the
+    cache is the source of truth either way. The index is refreshed when
+    the batch is claimed and after each flush, so a result another
+    worker publishes (after a lease expiry, or by an overlapping
+    campaign) is seen within one flush interval; until then the job may
+    run twice, which is harmless. Failed executions are requeued for a
+    fresh attempt until ``max_attempts``, then recorded terminally in
+    the spool.
     """
     job: Job = entry.job
     cache_start = time.perf_counter()

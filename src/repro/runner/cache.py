@@ -25,7 +25,7 @@ Only successful results are persisted: errors and timeouts are
 environment artefacts, not properties of the spec, and must be retried
 on the next campaign.
 
-Index. ``get`` and ``has_key`` find records through an in-process index,
+Index. ``get`` and ``indexed`` find records through an in-process index,
 key -> (segment name, offset, size). Building it reads record headers
 only and seeks past payloads. On CPython 3.11 it costs about 150 bytes
 per record the process wrote itself (the key string is the job's own)
@@ -326,16 +326,6 @@ class ResultCache:
         Sees only what this process wrote or its last discovery found.
         """
         return key in self._index
-
-    def has_key(self, key: str) -> bool:
-        """Whether a record is indexed for a raw job key, looking once on a miss.
-
-        An existence probe for a single key: no read, no digest check —
-        the authority on servability remains :meth:`get`. Each miss may
-        run a discovery; to test many keys, :meth:`refresh` once and use
-        :meth:`indexed`.
-        """
-        return key in self._index or (self.refresh() and key in self._index)
 
     # -- writes -----------------------------------------------------------
 

@@ -41,7 +41,7 @@ from pathlib import Path
 
 from ..config import SimulationConfig
 from ..errors import ConfigurationError
-from ..distributed.spool import MAX_BATCH, Spool
+from ..distributed.spool import MAX_BATCH, STALE_WORKER_S, Spool
 from ..runner.cache import ResultCache
 from ..runner.spec import Campaign, Job, SystemRef
 from ..telemetry.manifest import SpoolEventTailer, write_campaign_manifest
@@ -163,11 +163,12 @@ class CampaignService:
         self.batch = batch
         self.poll_s = poll_s
         self.keepalive_s = keepalive_s
-        self._status_args = {}
+        self.stale_worker_s = (
+            STALE_WORKER_S if stale_worker_s is None else stale_worker_s
+        )
+        self._status_args = {"stale_worker_s": self.stale_worker_s}
         if window_s is not None:
             self._status_args["window_s"] = window_s
-        if stale_worker_s is not None:
-            self._status_args["stale_worker_s"] = stale_worker_s
         self.closing = threading.Event()
         self._submit_lock = threading.Lock()
         self.events = self.spool.attach_events(
@@ -208,10 +209,11 @@ class CampaignService:
                 "campaign_started", campaign=campaign.name, total=total
             )
             if batch == "auto":
-                from ..distributed.backend import auto_batch_size
+                from ..distributed.backend import auto_batch_size, fleet_size
 
                 batch = auto_batch_size(
-                    self.spool.root, total, len(self.spool.worker_stats())
+                    self.spool.root, total,
+                    fleet_size(self.spool, stale_s=self.stale_worker_s),
                 )
             enqueued = self.spool.enqueue(campaign.jobs, batch_size=batch)
         get_registry().counter(

@@ -17,14 +17,14 @@ import math
 import time
 from pathlib import Path
 
-from ..distributed.spool import Spool
+from ..distributed.spool import STALE_WORKER_S, Spool
 from ..runner.cache import ResultCache
 from .manifest import load_campaign_manifests, read_all_events
 from .metrics import percentile
 
 #: A worker whose last stats publish is older than this is presumed dead
-#: (heartbeat publishing refreshes the snapshot every lease/4 seconds).
-DEFAULT_STALE_WORKER_S = 60.0
+#: (the spool's rule, shared with auto batch sizing's fleet count).
+DEFAULT_STALE_WORKER_S = STALE_WORKER_S
 
 #: Throughput window: jobs/sec is computed over this trailing span.
 DEFAULT_WINDOW_S = 60.0

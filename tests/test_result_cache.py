@@ -163,12 +163,14 @@ class TestDiscovery:
         assert reader.get(second) is not None
         assert len(listings) == first_look + 1  # segments/ only: a probe found it
 
-    def test_has_key_sees_other_writers(self, tmp_path):
+    def test_refresh_indexes_other_writers(self, tmp_path):
         reader = ResultCache(tmp_path)
         job = analytic_jobs(1)[0]
-        assert not reader.has_key(job.key())
+        assert not reader.refresh() and not reader.indexed(job.key())
         ResultCache(tmp_path).put(job, execute_job(job))
-        assert reader.has_key(job.key())
+        assert not reader.indexed(job.key())  # no I/O: not seen until a look
+        assert reader.refresh()
+        assert reader.indexed(job.key())
 
 
 class TestMaintenance:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.distributed import Spool, SpoolBackend, auto_batch_size, run_worker
-from repro.distributed.backend import _worker_command
+from repro.distributed.backend import _worker_command, fleet_size
 from repro.distributed.spool import MAX_BATCH, PROTOCOL_VERSION
 from repro.montecarlo import montecarlo_jobs
 from repro.runner import (
@@ -566,8 +566,12 @@ class TestAutoBatchSizing:
         assert auto_batch_size(tmp_path, 3, 2) == 1
         assert auto_batch_size(tmp_path, 0, 2) == 1
 
-    def test_zero_workers_count_as_one(self, tmp_path):
-        assert auto_batch_size(tmp_path, 12, 0) == auto_batch_size(tmp_path, 12, 1) == 3
+    def test_unknown_fleet_has_no_spread_bound(self, tmp_path):
+        # No known worker: a cold spool leases one job at a time, a warm
+        # one sizes from history alone.
+        assert auto_batch_size(tmp_path, 900, 0) == 1
+        self.seed_history(tmp_path, [0.1] * 20)
+        assert auto_batch_size(tmp_path, 900, 0) == 20
 
     def test_short_jobs_batch_aggressively(self, tmp_path):
         self.seed_history(tmp_path, [0.1] * 20)  # 2s target / 0.1s = 20
@@ -627,12 +631,78 @@ class TestAutoBatchSizing:
             backend.spool.enqueue(
                 jobs,
                 batch_size=auto_batch_size(
-                    tmp_path / "spool", len(jobs), backend.workers
+                    tmp_path / "spool", len(jobs), fleet_size(backend.spool)
                 ),
             )
             spool = Spool(tmp_path / "spool")
             assert spool.pending_count() == 8
             assert len(batch_files(spool)) >= 1  # history said: batch
+
+
+class TestFleetSize:
+    def publish_stats(self, spool, ages):
+        now = time.time()
+        for index, age in enumerate(ages):
+            spool.write_worker_stats(
+                f"ext-{index}", {"worker": f"ext-{index}", "updated_at": now - age}
+            )
+
+    def test_counts_only_fresh_worker_stats(self, tmp_path):
+        spool = Spool(tmp_path / "spool").ensure()
+        assert fleet_size(spool) == 0
+        self.publish_stats(spool, [0.0, 5.0, 30.0, 120.0, 3600.0])
+        spool.write_worker_stats("no-stamp", {"worker": "no-stamp"})
+        assert fleet_size(spool) == 3  # dead workers' files stay behind
+        assert fleet_size(spool, 5) == 5  # the caller's own workers
+        assert fleet_size(spool, stale_s=10.0) == 2
+
+    def test_idle_worker_republishes_stats(self, tmp_path, monkeypatch):
+        spool = Spool(tmp_path / "spool").ensure()
+        stamps = []
+        real_write = Spool.write_worker_stats
+
+        def recording_write(self, worker, payload):
+            stamps.append(payload["updated_at"])
+            real_write(self, worker, payload)
+
+        monkeypatch.setattr(Spool, "write_worker_stats", recording_write)
+        run_worker(
+            spool.root, ResultCache(tmp_path / "cache"),
+            heartbeat_s=0.05, poll_s=0.01, idle_timeout_s=0.4,
+        )
+        # Start and exit publish once each; idle polling adds the rest.
+        assert len(stamps) >= 4
+
+    def test_backend_without_workers_spreads_over_live_fleet(self, tmp_path):
+        """A ``workers=0`` backend sizes leases from the workers seen on
+        the spool: eight live external workers get at least eight leases."""
+        import threading
+
+        jobs = reachability_jobs(40)
+        spool = Spool(tmp_path / "spool").ensure()
+        self.publish_stats(spool, [0.0] * 8)  # ext-0 .. ext-7, all fresh
+        drained = []
+        worker = threading.Thread(
+            target=lambda: drained.append(
+                run_worker(
+                    tmp_path / "spool", ResultCache(tmp_path / "cache"),
+                    worker_id="ext-0", idle_timeout_s=2.0,
+                )
+            ),
+            daemon=True,
+        )
+        backend = SpoolBackend(
+            cache=ResultCache(tmp_path / "cache"), spool_dir=tmp_path / "spool",
+            workers=0, lease_s=10.0, stall_timeout_s=60.0, poll_s=0.02,
+        )
+        worker.start()
+        try:
+            results = backend.run(jobs)
+        finally:
+            backend.close()
+            worker.join(timeout=30.0)
+        assert results == serial_results(jobs)
+        assert drained and drained[0]["batches_claimed"] >= 8
 
 
 class TestStatusUnderBatching:

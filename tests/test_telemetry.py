@@ -514,12 +514,13 @@ class TestSatellites:
         assert payload["root"] == str(tmp_path)
         assert payload["total_bytes"] > 0
 
-    def test_cache_has_key(self, tmp_path):
+    def test_cache_indexes_own_writes(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = reachability_jobs(1)[0]
-        assert not cache.has_key(job.key())
+        cache.refresh()
+        assert not cache.indexed(job.key())
         cache.put(job, SerialBackend().run([job])[0])
-        assert cache.has_key(job.key())
+        assert cache.indexed(job.key())
 
     def test_metrics_http_endpoint(self):
         from repro.telemetry.httpd import serve_metrics
