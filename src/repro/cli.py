@@ -420,7 +420,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             target_ci_width=args.target_ci,
             max_samples=args.max_samples,
             kernel=args.kernel,
-            sampler=args.sampler,
             shard=args.shard,
             rendezvous_dir=rendezvous_dir,
             round_timeout=args.round_timeout,
@@ -440,8 +439,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         if args.target_ci is None
         else f"adaptive sampling (start {args.samples}, Wilson CI <= {args.target_ci})"
     )
-    if args.sampler != "uniform":
-        sampling = f"{args.sampler} {sampling}"
     if args.shard is not None:
         sampling += f", shard {args.shard[0] + 1}/{args.shard[1]}"
     print(
@@ -465,7 +462,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             "samples": args.samples,
             "seed": args.seed,
             "confidence": args.confidence,
-            "sampler": args.sampler,
             "points": [
                 {
                     "algorithm": p.algorithm,
@@ -479,8 +475,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
                     "worst": p.primary.worst if p.primary else None,
                     "ci": [p.primary.interval.low, p.primary.interval.high]
                     if p.primary else None,
-                    "strata": p.strata,
-                    "ess": p.ess,
                 }
                 for p in report.results
             ],
@@ -940,15 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200,
                    help="random fault scenarios per (algorithm, k) point "
                         "(the initial batch when --target-ci is set)")
-    p.add_argument("--sampler", choices=["uniform", "stratified", "importance"],
-                   default="uniform",
-                   help="variance-reduction strategy (reachability metric): "
-                        "'stratified' partitions patterns by per-chiplet "
-                        "per-direction fault counts with exact combinatorial "
-                        "weights, 'importance' oversamples strata scored as "
-                        "high-deviation pre-simulation and reweights by "
-                        "likelihood ratios; both draw at least two samples "
-                        "per stratum in their first round")
     p.add_argument("--target-ci", type=float, default=None, metavar="WIDTH",
                    help="adaptive stopping: keep doubling each point's samples "
                         "until its Wilson CI is no wider than WIDTH")

@@ -1,8 +1,8 @@
 """Round rendezvous for shard-composed adaptive campaigns.
 
 Adaptive stopping needs *pooled* statistics: whether a point's interval
-is narrow enough — and how the next extension round is allocated across
-strata — depends on every shard's samples, not one shard's slice. The
+is narrow enough — and so whether it draws another extension round —
+depends on every shard's samples, not one shard's slice. The
 rendezvous is the small filesystem barrier that lets N independent
 shard drivers (``--shard I/N``) take those decisions identically:
 

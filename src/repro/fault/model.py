@@ -12,7 +12,7 @@ import enum
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ..errors import FaultModelError
 from ..topology.builder import System
@@ -220,60 +220,6 @@ def chiplet_fault_pattern(
         if local not in by_local:
             raise FaultModelError(f"chiplet {chiplet} has no VL with local index {local}")
         faults.append(DirectedVL(by_local[local].index, VLDirection.UP))
-    return FaultState(system, faults)
-
-
-def random_stratified_fault_state(
-    system: System,
-    composition: Sequence[int],
-    rng: random.Random,
-) -> FaultState:
-    """Sample a pattern with fixed per-chiplet, per-direction fault counts.
-
-    For a system of M chiplets the composition has length 2M:
-    ``composition[2c]`` down faults and ``composition[2c + 1]`` up
-    faults on chiplet ``c`` — the layout
-    :func:`repro.montecarlo.strata.enumerate_strata` produces.
-    Admissibility (at least one alive channel per direction) is then a
-    property of the composition itself (``d < V`` and ``u < V``), so each
-    direction's channels are drawn *directly* — no rejection loop —
-    uniformly over the chiplet's size-``d`` down and size-``u`` up
-    subsets.
-
-    The disconnection exclusion factorizes per chiplet, so drawing every
-    chiplet independently yields a uniform sample over the admissible
-    global patterns *within the stratum* — exactly the conditional
-    distribution the stratified estimator weights by its exact
-    combinatorial stratum probability.
-
-    Chiplets are drawn in index order, downs before ups, from the single
-    ``rng`` stream, so the pattern is a pure function of
-    ``(composition, rng state)``.
-    """
-    num_chiplets = system.spec.num_chiplets
-    if len(composition) != 2 * num_chiplets:
-        raise FaultModelError(
-            f"composition has {len(composition)} entries, expected "
-            f"{2 * num_chiplets} per-direction counts"
-        )
-    faults: list[DirectedVL] = []
-    for chiplet in range(num_chiplets):
-        links = system.vls_of_chiplet(chiplet)
-        down_count = composition[2 * chiplet]
-        up_count = composition[2 * chiplet + 1]
-        for count, direction in (
-            (down_count, VLDirection.DOWN),
-            (up_count, VLDirection.UP),
-        ):
-            if count < 0 or count >= len(links):
-                raise FaultModelError(
-                    f"chiplet {chiplet} needs an alive {direction.name.lower()} "
-                    f"channel: count {count} not in [0, {len(links) - 1}]"
-                )
-            if count == 0:
-                continue
-            channels = [DirectedVL(link.index, direction) for link in links]
-            faults.extend(sorted(rng.sample(channels, count)))
     return FaultState(system, faults)
 
 

@@ -1,23 +1,18 @@
 """Monte Carlo fault-injection campaigns (statistical Fig. 7 at scale).
 
-Complements the exact reachability decomposition with seeded random
-k-fault sampling through the campaign runner — the scale layer for
-large k and COLSxROWS systems where enumeration (and the decomposition's
-per-chiplet profiles) stop being feasible, and the only way to estimate
-simulation-based metrics (latency, delivery) under fault populations.
+Seeded uniform k-fault sampling through the campaign runner. Fig. 7's
+reachability is computed exactly by
+:func:`~repro.analysis.reachability.reachability_curve`; sampling is the
+way to estimate simulation metrics (latency, delivery) under fault
+populations, and a cross-check of the exact path.
 
-* :mod:`repro.montecarlo.stats` — confidence-interval estimators,
-  weighted (stratified/importance) machinery and numpy batch variants;
-* :mod:`repro.montecarlo.strata` — per-chiplet fault-count strata with
-  exact combinatorial weights and pre-simulation severity scoring;
-* :mod:`repro.montecarlo.campaign` — job emission, the sampler engine
-  (uniform / stratified / importance) and shard-composed adaptive
-  stopping.
+* :mod:`repro.montecarlo.stats` — confidence-interval estimators;
+* :mod:`repro.montecarlo.campaign` — job emission, adaptive stopping
+  and shard-composed rounds.
 """
 
 from .campaign import (
     MC_METRICS,
-    MC_SAMPLERS,
     MonteCarloReport,
     MonteCarloResult,
     SampleSummary,
@@ -27,52 +22,23 @@ from .campaign import (
 )
 from .stats import (
     ConfidenceInterval,
-    WeightedEstimate,
-    batch_mean_std,
-    importance_estimate,
     normal_mean_interval,
-    normal_mean_intervals,
     sample_mean_std,
-    stratified_estimate,
-    wilson_from_variance,
     wilson_interval,
-    wilson_intervals,
     z_value,
-)
-from .strata import (
-    Stratum,
-    admissible_chiplet_patterns,
-    enumerate_strata,
-    importance_proposal,
-    stratum_scores,
-    stratum_sequence,
 )
 
 __all__ = [
     "MC_METRICS",
-    "MC_SAMPLERS",
     "ConfidenceInterval",
     "MonteCarloReport",
     "MonteCarloResult",
     "SampleSummary",
-    "Stratum",
-    "WeightedEstimate",
-    "admissible_chiplet_patterns",
-    "batch_mean_std",
-    "enumerate_strata",
-    "importance_estimate",
-    "importance_proposal",
     "montecarlo_jobs",
     "normal_mean_interval",
-    "normal_mean_intervals",
     "run_montecarlo",
     "sample_mean_std",
-    "stratified_estimate",
-    "stratum_scores",
-    "stratum_sequence",
     "summarize",
-    "wilson_from_variance",
     "wilson_interval",
-    "wilson_intervals",
     "z_value",
 ]

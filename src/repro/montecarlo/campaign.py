@@ -11,30 +11,12 @@ deterministic per-job seeding and the content-addressed result cache:
 re-running a campaign with the same spec is served from disk, and
 growing ``--samples`` only draws the new indices.
 
-Three samplers share the engine (``sampler=``):
-
-* ``uniform`` — the original estimator: uniform admissible k-fault
-  draws, sample means and pooled Wilson intervals, float-for-float
-  unchanged from before the variance-reduction layer existed.
-* ``stratified`` — partitions the sample space by per-chiplet
-  fault-count composition (:mod:`repro.montecarlo.strata`), weights
-  each stratum by its exact combinatorial mass, allocates samples
-  proportionally first and by Neyman allocation (``n_s ∝ w_s σ_s``)
-  on every adaptive extension. Lopsided compositions — the rare
-  near-disconnecting patterns dominating the worst-case curve — are
-  guaranteed coverage instead of waiting for uniform luck.
-* ``importance`` — additionally *biases* the stratum choice toward
-  low expected reachability, scored before any simulation from the
-  compiled per-(chiplet, pattern) tables, and undoes the bias with
-  unbiased likelihood-ratio reweighting
-  (:func:`~repro.montecarlo.stats.importance_estimate`, with ESS
-  diagnostics). A defensive mixture bounds the ratios so a bad score
-  model can slow convergence but never corrupt it.
-
-Per-(stratum, sample) cache keys are stable: stratified and importance
-campaigns over the same spec share their drawn scenarios with each
-other and with every earlier run, so overlapping campaigns stay
-incremental.
+Samples are uniform admissible k-fault draws: each point reports the
+sample mean with a normal interval, and adaptive stopping pools exact
+counts into one Wilson interval per point (reachable core pairs, or
+delivered packets for latency). Fig. 7's reachability itself is
+computed exactly by :func:`~repro.analysis.reachability.reachability_curve`;
+this sampler serves simulated metrics and cross-checks the exact path.
 
 Sampling can be *adaptive* (``target_ci_width=``): each point keeps
 extending its sample count (doubling, capped exactly at
@@ -57,36 +39,21 @@ from pathlib import Path
 from typing import Sequence
 
 from ..config import SimulationConfig
-from ..errors import ConfigurationError
 from ..runner import Campaign, CampaignReport, CampaignRunner, Job, SystemRef, TrafficSpec
 from ..runner.backends import ProgressFn
 from ..runner.result import JobResult
 from ..telemetry.metrics import get_registry
 from .stats import (
     ConfidenceInterval,
-    WeightedEstimate,
-    importance_estimate,
     normal_mean_interval,
     sample_mean_std,
-    stratified_estimate,
     wilson_interval,
-    wilson_intervals,
-)
-from .strata import (
-    Stratum,
-    enumerate_strata,
-    importance_proposal,
-    stratum_scores,
-    stratum_sequence,
 )
 
 #: Metrics a Monte Carlo campaign can estimate: ``reachability`` scores
 #: each sampled pattern analytically (no simulation), ``latency`` runs
 #: the cycle-accurate simulator under each sampled pattern.
 MC_METRICS = ("reachability", "latency")
-
-#: Sampling strategies of :func:`run_montecarlo`.
-MC_SAMPLERS = ("uniform", "stratified", "importance")
 
 #: Traffic/config placeholders pinning the canonical form of analytic
 #: reachability jobs, so their cache keys never depend on simulation
@@ -132,14 +99,6 @@ class MonteCarloResult:
     summarizes per-sample delivered ratios and ``delivered_pool`` is the
     Wilson binomial interval over the pooled delivered/measured packet
     counts of every sample.
-
-    For weighted samplers, ``primary.mean`` and ``primary.interval``
-    are the *weighted* (unbiased) estimates from :attr:`weighted`;
-    ``primary.std`` stays the raw dispersion of the drawn values —
-    descriptive only, since the draw itself is deliberately biased.
-    ``strata`` counts the point's strata and ``ess`` is the effective
-    sample size (equal to n for stratified; the Kish size for
-    importance — distrust estimates whose ESS collapsed).
     """
 
     algorithm: str
@@ -156,10 +115,6 @@ class MonteCarloResult:
     primary: SampleSummary | None = None
     delivery: SampleSummary | None = None
     delivered_pool: ConfidenceInterval | None = None
-    sampler: str = "uniform"
-    strata: int = 0
-    ess: float | None = None
-    weighted: WeightedEstimate | None = None
 
     @property
     def completed(self) -> int:
@@ -182,8 +137,6 @@ class MonteCarloResult:
         )
         if self.delivery is not None:
             line += f" delivered={self.delivery.mean:6.4f}"
-        if self.ess is not None and self.sampler == "importance":
-            line += f" ess={self.ess:8.1f}"
         if self.failed or self.dropped:
             parts = []
             if self.failed:
@@ -209,7 +162,6 @@ class MonteCarloReport:
     confidence: float
     results: list[MonteCarloResult]
     campaign: CampaignReport
-    sampler: str = "uniform"
 
     def result_for(self, algorithm: str, k: int) -> MonteCarloResult:
         for result in self.results:
@@ -230,24 +182,19 @@ def montecarlo_jobs(
     config: SimulationConfig | None = None,
     start: int = 0,
     kernel: str = "auto",
-    stratum: Sequence[int] = (),
 ) -> list[Job]:
     """The job list of one (algorithm, k) Monte Carlo group.
 
     Sample ``i`` is a ``faults_mode="sample"`` job with
     ``fault_sample=i`` and the campaign's master ``seed``; the executor
-    derives the pattern RNG from ``(seed, k, i)`` — or ``(seed, k,
-    stratum, i)`` when ``stratum`` pins a per-chiplet fault-count
-    composition — so the job's canonical form — and cache key — fully
-    determines the drawn scenario.
+    derives the pattern RNG from ``(seed, k, i)``, so the job's
+    canonical form — and cache key — fully determines the drawn
+    scenario.
 
     ``start`` offsets the drawn sample indices (``start .. start +
     samples - 1``): the adaptive-stopping loop uses it to extend a group
     without re-emitting — or re-simulating, thanks to the content
-    addresses — the samples it already holds. For stratified emission
-    the indices are per-stratum ordinals, so every (stratum, ordinal)
-    pair is one immutable scenario shared by every campaign that ever
-    draws it.
+    addresses — the samples it already holds.
     """
     if metric not in MC_METRICS:
         raise ValueError(f"metric must be one of {MC_METRICS}, got {metric!r}")
@@ -277,7 +224,6 @@ def montecarlo_jobs(
             faults_mode="sample",
             fault_k=fault_count,
             fault_sample=index,
-            fault_stratum=tuple(stratum),
             kind=kind,
             kernel=kernel,
         )
@@ -289,14 +235,13 @@ def _estimate_point(
     algorithm: str,
     k: int,
     metric: str,
-    outcomes: Sequence,
-    requested: int,
+    outcomes: Sequence[JobResult],
     confidence: float,
 ) -> MonteCarloResult:
     """Aggregate one (algorithm, k) group's job outcomes into estimates."""
     point = MonteCarloResult(
         algorithm=algorithm, k=k, metric=metric,
-        requested=requested, failed=sum(1 for r in outcomes if not r.ok),
+        requested=len(outcomes), failed=sum(1 for r in outcomes if not r.ok),
     )
     ok_results = [r for r in outcomes if r.ok]
     if metric == "reachability":
@@ -355,367 +300,6 @@ def _stopping_width(
     return interval.high - interval.low
 
 
-# ---------------------------------------------------------------------------
-# deterministic allocation helpers
-# ---------------------------------------------------------------------------
-
-
-def _largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
-    """Round real-valued quotas to integers summing to ``total``.
-
-    Floors first, then hands the leftover units to the largest
-    fractional parts (ties broken by index) — the classic
-    largest-remainder method, fully deterministic so every shard driver
-    computes the identical allocation.
-    """
-    quota_sum = sum(quotas)
-    if quota_sum <= 0:
-        raise ConfigurationError("allocation quotas must sum to > 0")
-    scaled = [q * total / quota_sum for q in quotas]
-    counts = [int(math.floor(s)) for s in scaled]
-    leftover = total - sum(counts)
-    order = sorted(
-        range(len(quotas)), key=lambda i: (-(scaled[i] - counts[i]), i)
-    )
-    for i in order[:leftover]:
-        counts[i] += 1
-    return counts
-
-
-def _allocate_proportional(
-    weights: Sequence[float], total: int, minimum: int
-) -> list[int]:
-    """Proportional allocation with a per-stratum floor.
-
-    Every stratum gets ``minimum`` samples (so a within-stratum variance
-    is estimable from round one); the remainder is split proportionally
-    to the exact stratum weights.
-    """
-    base = minimum * len(weights)
-    if total < base:
-        raise ConfigurationError(
-            f"cannot allocate {total} samples over {len(weights)} strata "
-            f"with a minimum of {minimum} each"
-        )
-    extra = _largest_remainder(weights, total - base)
-    return [minimum + e for e in extra]
-
-
-def _allocate_neyman(
-    weights: Sequence[float],
-    counts: Sequence[int],
-    stds: Sequence[float],
-    extension: int,
-) -> list[int]:
-    """Neyman allocation of an extension round from observed variances.
-
-    The optimal fixed-budget split is ``n_s ∝ w_s σ_s``; we aim the
-    *cumulative* allocation at that target and hand each stratum the
-    positive part of its deficit (never un-drawing existing samples),
-    renormalized to the extension budget. Strata with an unknown σ
-    (fewer than two samples) borrow the pooled σ of the others; if every
-    σ is zero the split degrades to proportional-by-weight.
-    """
-    pooled_num = sum(
-        (n - 1) * s * s for n, s in zip(counts, stds) if n >= 2
-    )
-    pooled_df = sum(n - 1 for n in counts if n >= 2)
-    pooled = math.sqrt(pooled_num / pooled_df) if pooled_df else 0.0
-    sigmas = [
-        s if n >= 2 else pooled for n, s in zip(counts, stds)
-    ]
-    scores = [w * s for w, s in zip(weights, sigmas)]
-    if sum(scores) <= 0:
-        scores = list(weights)
-    target_total = sum(counts) + extension
-    targets = _largest_remainder(scores, target_total)
-    deficits = [max(0, t - n) for t, n in zip(targets, counts)]
-    if sum(deficits) == 0:
-        # Already past every target (tiny extension round): fall back to
-        # splitting the budget directly by score.
-        return _largest_remainder(scores, extension)
-    return _largest_remainder([float(d) for d in deficits], extension)
-
-
-# ---------------------------------------------------------------------------
-# per-point sampler strategies
-# ---------------------------------------------------------------------------
-
-
-class _UniformPoint:
-    """Legacy uniform sampling — float-for-float the original behavior."""
-
-    sampler = "uniform"
-
-    def __init__(self, engine: "_Engine", algorithm: str, k: int):
-        self.engine = engine
-        self.algorithm = algorithm
-        self.k = k
-        self.drawn = 0
-        self.outcomes: list[JobResult] = []
-
-    def first_budget(self, samples: int) -> int:
-        return samples
-
-    def emit(self, budget: int) -> list[Job]:
-        e = self.engine
-        jobs = montecarlo_jobs(
-            e.system, self.algorithm, self.k, budget,
-            seed=e.seed, metric=e.metric, traffic=e.traffic, config=e.config,
-            start=self.drawn, kernel=e.kernel,
-        )
-        self.drawn += len(jobs)
-        return jobs
-
-    def accumulate(self, results: Sequence[JobResult]) -> None:
-        self.outcomes.extend(results)
-
-    def estimate(self, confidence: float) -> MonteCarloResult:
-        return _estimate_point(
-            self.algorithm, self.k, self.engine.metric,
-            self.outcomes, self.drawn, confidence,
-        )
-
-    def stopping_width(
-        self, estimate: MonteCarloResult, confidence: float
-    ) -> float | None:
-        return _stopping_width(
-            estimate, self.engine.metric, self.engine.total_pairs, confidence
-        )
-
-
-class _WeightedPoint:
-    """Shared bookkeeping of the stratified/importance strategies."""
-
-    sampler = "weighted"
-
-    def __init__(
-        self, engine: "_Engine", algorithm: str, k: int, strata: list[Stratum]
-    ):
-        self.engine = engine
-        self.algorithm = algorithm
-        self.k = k
-        self.strata = strata
-        self.counts = [0] * len(strata)
-        self.drawn = 0
-        self.failed = 0
-        self.dropped = 0
-        #: (stratum index, job) of every emitted job, in emission order.
-        self._pending: list[tuple[int, Job]] = []
-
-    def _emit_stratum(self, index: int, count: int) -> list[Job]:
-        e = self.engine
-        jobs = montecarlo_jobs(
-            e.system, self.algorithm, self.k, count,
-            seed=e.seed, metric=e.metric, traffic=e.traffic, config=e.config,
-            start=self.counts[index], kernel=e.kernel,
-            stratum=self.strata[index].composition,
-        )
-        self.counts[index] += count
-        self.drawn += count
-        self._pending.extend((index, job) for job in jobs)
-        return jobs
-
-    def _value_of(self, result: JobResult) -> float | None:
-        """The sample's metric value, or None when failed/undefined."""
-        if not result.ok:
-            self.failed += 1
-            return None
-        value = result.reachability
-        if not math.isfinite(value):
-            self.dropped += 1
-            return None
-        return value
-
-    def _base_result(
-        self, values: list[float], weighted: WeightedEstimate | None
-    ) -> MonteCarloResult:
-        point = MonteCarloResult(
-            algorithm=self.algorithm, k=self.k, metric=self.engine.metric,
-            requested=self.drawn, failed=self.failed, dropped=self.dropped,
-            values=values, sampler=self.sampler, strata=len(self.strata),
-            ess=weighted.ess if weighted else None, weighted=weighted,
-        )
-        if weighted is not None and values:
-            _, raw_std = sample_mean_std(values)
-            point.primary = SampleSummary(
-                n=len(values),
-                mean=weighted.mean,
-                std=raw_std,
-                worst=min(values),
-                interval=weighted.interval,
-            )
-        return point
-
-    def stopping_width(
-        self, estimate: MonteCarloResult, confidence: float
-    ) -> float | None:
-        if estimate.weighted is None:
-            return None
-        interval = estimate.weighted.interval
-        return interval.high - interval.low
-
-
-class _StratifiedPoint(_WeightedPoint):
-    """Exact-weight stratification with proportional → Neyman allocation."""
-
-    sampler = "stratified"
-
-    def __init__(self, engine, algorithm, k, strata):
-        super().__init__(engine, algorithm, k, strata)
-        self.values: list[list[float]] = [[] for _ in strata]
-
-    def first_budget(self, samples: int) -> int:
-        # Two samples per stratum minimum, so round one already yields a
-        # within-stratum variance for the width and for Neyman targeting.
-        return max(samples, 2 * len(self.strata))
-
-    def emit(self, budget: int) -> list[Job]:
-        weights = [s.weight for s in self.strata]
-        if self.drawn == 0:
-            allocation = _allocate_proportional(
-                weights, budget, minimum=min(2, budget // len(weights))
-            )
-        else:
-            stds = [
-                sample_mean_std(v)[1] if len(v) >= 2 else 0.0
-                for v in self.values
-            ]
-            allocation = _allocate_neyman(
-                weights, self.counts, stds, budget
-            )
-        histogram = get_registry().histogram(
-            "deft_mc_stratum_allocation",
-            "Samples allocated to one stratum in one round",
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
-        )
-        jobs: list[Job] = []
-        for index, count in enumerate(allocation):
-            if count > 0:
-                histogram.observe(count)
-                jobs.extend(self._emit_stratum(index, count))
-        return jobs
-
-    def accumulate(self, results: Sequence[JobResult]) -> None:
-        for (index, _job), result in zip(self._pending, results):
-            value = self._value_of(result)
-            if value is not None:
-                self.values[index].append(value)
-        self._pending = []
-
-    def estimate(self, confidence: float) -> MonteCarloResult:
-        groups = [
-            (stratum.weight, values)
-            for stratum, values in zip(self.strata, self.values)
-        ]
-        flat = [v for values in self.values for v in values]
-        weighted = None
-        if flat:
-            weighted = stratified_estimate(groups, confidence)
-        return self._base_result(flat, weighted)
-
-
-class _ImportancePoint(_WeightedPoint):
-    """Deficit-tilted stratum choice with likelihood-ratio reweighting."""
-
-    sampler = "importance"
-
-    def __init__(self, engine, algorithm, k, strata, proposal: list[float]):
-        super().__init__(engine, algorithm, k, strata)
-        self.proposal = proposal
-        #: (likelihood ratio, value) pairs in global emission order.
-        self.pairs: list[tuple[float, float]] = []
-        self._ordinal = 0
-
-    def first_budget(self, samples: int) -> int:
-        return samples
-
-    def emit(self, budget: int) -> list[Job]:
-        assignment = stratum_sequence(
-            self.proposal, self.engine.seed, self.k, self._ordinal, budget
-        )
-        self._ordinal += budget
-        jobs: list[Job] = []
-        for stratum_index in assignment:
-            jobs.extend(self._emit_stratum(stratum_index, 1))
-        return jobs
-
-    def accumulate(self, results: Sequence[JobResult]) -> None:
-        for (index, _job), result in zip(self._pending, results):
-            value = self._value_of(result)
-            if value is not None:
-                ratio = self.strata[index].weight / self.proposal[index]
-                self.pairs.append((ratio, value))
-        self._pending = []
-
-    def estimate(self, confidence: float) -> MonteCarloResult:
-        values = [v for _, v in self.pairs]
-        weighted = None
-        if values:
-            weighted = importance_estimate(
-                [r for r, _ in self.pairs], values, confidence
-            )
-        return self._base_result(values, weighted)
-
-
-# ---------------------------------------------------------------------------
-# engine
-# ---------------------------------------------------------------------------
-
-
-def _stopping_widths(
-    samplers: dict,
-    active: Sequence[tuple[str, int]],
-    estimates: dict,
-    sampler: str,
-    metric: str,
-    total_pairs: int,
-    confidence: float,
-) -> dict[tuple[str, int], float | None]:
-    """Stopping widths of every active point, batched where possible.
-
-    Uniform reachability points pool exact reachable-pair counts, so all
-    active points share one vectorized Wilson sweep
-    (:func:`~repro.montecarlo.stats.wilson_intervals`, bit-identical to
-    the scalar path); everything else falls back to the point's own
-    scalar width.
-    """
-    widths: dict[tuple[str, int], float | None] = {}
-    if sampler == "uniform" and metric == "reachability" and total_pairs > 0:
-        pooled = [
-            point for point in active if estimates[point].values
-        ]
-        successes = [
-            sum(round(value * total_pairs) for value in estimates[point].values)
-            for point in pooled
-        ]
-        trials = [len(estimates[point].values) * total_pairs for point in pooled]
-        intervals = wilson_intervals(successes, trials, confidence)
-        for point, interval in zip(pooled, intervals):
-            widths[point] = interval.high - interval.low
-        for point in active:
-            widths.setdefault(point, None)
-        return widths
-    for point in active:
-        widths[point] = samplers[point].stopping_width(
-            estimates[point], confidence
-        )
-    return widths
-
-
-@dataclass
-class _Engine:
-    """Shared campaign context every point sampler reads from."""
-
-    system: SystemRef
-    seed: int
-    metric: str
-    traffic: TrafficSpec | None
-    config: SimulationConfig | None
-    kernel: str
-    total_pairs: int = 0
-
-
 def _campaign_id(
     system: SystemRef,
     algorithms: Sequence[str],
@@ -726,7 +310,6 @@ def _campaign_id(
     confidence: float,
     target_ci_width: float | None,
     max_samples: int | None,
-    sampler: str,
     probe_canonical: dict,
 ) -> str:
     """Content hash of the sampling spec — the rendezvous namespace.
@@ -745,7 +328,6 @@ def _campaign_id(
         "confidence": confidence,
         "target_ci_width": target_ci_width,
         "max_samples": max_samples,
-        "sampler": sampler,
         "probe": probe_canonical,
     }
     digest = hashlib.sha256(
@@ -770,11 +352,9 @@ def run_montecarlo(
     target_ci_width: float | None = None,
     max_samples: int | None = None,
     kernel: str = "auto",
-    sampler: str = "uniform",
     shard: tuple[int, int] | None = None,
     rendezvous_dir: str | Path | None = None,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
-    importance_lambda: float = 0.25,
 ) -> MonteCarloReport:
     """Run a full (algorithm x k x sample) Monte Carlo campaign.
 
@@ -784,13 +364,6 @@ def run_montecarlo(
     of a group reuses the same built system, algorithm and route tables).
     Failed samples (e.g. no admissible pattern at an extreme k) are
     excluded from the estimates and counted per point.
-
-    ``sampler`` picks the estimator (see the module docstring):
-    ``uniform`` (unchanged legacy behavior), ``stratified`` or
-    ``importance`` — the weighted samplers support the reachability
-    metric, draw at least two samples per stratum in their first round
-    and stop on the variance-based Wilson width of their weighted
-    estimate.
 
     With ``target_ci_width``, sampling is *adaptive*: each (algorithm, k)
     point starts with ``samples`` draws and keeps doubling until its
@@ -809,14 +382,6 @@ def run_montecarlo(
     result cache; all drivers must be launched with identical
     parameters.
     """
-    if sampler not in MC_SAMPLERS:
-        raise ValueError(f"sampler must be one of {MC_SAMPLERS}, got {sampler!r}")
-    if sampler != "uniform" and metric != "reachability":
-        raise ValueError(
-            f"the {sampler!r} sampler supports the reachability metric only "
-            "(weighted Wilson machinery needs a bounded mean); use "
-            "sampler='uniform' for latency campaigns"
-        )
     points = [(algorithm, k) for algorithm in algorithms for k in fault_counts]
     name = f"montecarlo-{metric}-{system.label}"
     campaign_runner = runner or CampaignRunner()
@@ -840,68 +405,20 @@ def run_montecarlo(
         adaptive = True
         max_n = max_samples
 
-    # Total ordered core pairs, for pooling reachability fractions back
-    # into exact counts — adaptive uniform stopping needs it, and the
-    # weighted samplers need the built system for strata enumeration and
-    # proposal scoring. Served from this process's session only when the
-    # backend opted into sessions — a --no-session run must not leave a
-    # memoized System in the process-global context.
-    built = None
-    if sampler != "uniform" or (adaptive and metric == "reachability"):
+    # Total ordered core pairs, for pooling adaptive reachability
+    # fractions back into exact counts. Served from this process's
+    # session only when the backend opted into sessions: a --no-session
+    # run must not leave a memoized System in the process-global context.
+    total_pairs = 0
+    if adaptive and metric == "reachability":
         if getattr(campaign_runner.backend, "use_session", False):
             from ..runner.session import get_session
 
             built = get_session().system(system)
         else:
             built = system.build()
-    total_pairs = 0
-    if built is not None and metric == "reachability":
         cores = len(built.cores)
         total_pairs = cores * (cores - 1)
-
-    engine = _Engine(
-        system=system, seed=seed, metric=metric, traffic=traffic,
-        config=config, kernel=kernel, total_pairs=total_pairs,
-    )
-
-    # Per-point sampler state. Strata and importance proposals are pure
-    # functions of the (system, algorithm, k) spec — every shard driver
-    # derives identical weights, scores and assignment sequences.
-    strata_of: dict[int, list[Stratum]] = {}
-    samplers: dict[tuple[str, int], object] = {}
-    for algorithm, k in points:
-        if sampler == "uniform":
-            samplers[(algorithm, k)] = _UniformPoint(engine, algorithm, k)
-            continue
-        if k not in strata_of:
-            strata_of[k] = enumerate_strata(built, k)
-        strata = strata_of[k]
-        if sampler == "stratified":
-            samplers[(algorithm, k)] = _StratifiedPoint(
-                engine, algorithm, k, strata
-            )
-        else:
-            from ..routing.compiled import compile_routes
-            from ..routing.registry import make_algorithm
-
-            routes = compile_routes(make_algorithm(algorithm, built))
-            scores = stratum_scores(built, routes, strata)
-            proposal = importance_proposal(
-                [s.weight for s in strata], scores, lam=importance_lambda
-            )
-            samplers[(algorithm, k)] = _ImportancePoint(
-                engine, algorithm, k, strata, proposal
-            )
-
-    if adaptive:
-        for point in points:
-            first = samplers[point].first_budget(samples)
-            if first > max_n:
-                raise ValueError(
-                    f"point {point} needs a first round of {first} samples "
-                    f"({samplers[point].sampler} sampling wants two per "
-                    f"stratum) but max_samples is {max_n}; raise max_samples"
-                )
 
     rendezvous = None
     if shard is not None:
@@ -925,23 +442,30 @@ def run_montecarlo(
         )[0].canonical()
         campaign_id = _campaign_id(
             system, algorithms, fault_counts, samples, seed, metric,
-            confidence, target_ci_width, max_samples, sampler, probe,
+            confidence, target_ci_width, max_samples, probe,
         )
         rendezvous = RoundRendezvous(rendezvous_dir, campaign_id, index0, count)
 
     registry = get_registry()
+    #: Every point's outcomes so far, in emission order; their count is
+    #: the number of samples drawn, and so the next sample index.
+    outcomes: dict[tuple[str, int], list[JobResult]] = {
+        point: [] for point in points
+    }
     active = list(points)
     reports: list[CampaignReport] = []
     round_index = 0
     while active:
         batches: list[tuple[tuple[str, int], list[Job]]] = []
         for point in active:
-            ps = samplers[point]
-            if ps.drawn == 0:
-                budget = ps.first_budget(samples)
-            else:
-                budget = min(max(ps.drawn, samples), max_n - ps.drawn)
-            batches.append((point, ps.emit(budget)))
+            drawn = len(outcomes[point])
+            budget = samples if drawn == 0 else min(max(drawn, samples), max_n - drawn)
+            algorithm, k = point
+            batches.append((point, montecarlo_jobs(
+                system, algorithm, k, budget,
+                seed=seed, metric=metric, traffic=traffic, config=config,
+                start=drawn, kernel=kernel,
+            )))
         all_jobs = [job for _, group in batches for job in group]
         registry.counter(
             "deft_mc_rounds_total", "Monte Carlo sampling rounds driven"
@@ -961,32 +485,31 @@ def run_montecarlo(
                 round_index, round_timeout, reports, progress,
             )
         for point, group in batches:
-            samplers[point].accumulate([outcome_of[job.key()] for job in group])
+            outcomes[point].extend(outcome_of[job.key()] for job in group)
         round_index += 1
         if not adaptive:
             break
-        estimates = {point: samplers[point].estimate(confidence) for point in active}
-        widths = _stopping_widths(
-            samplers, active, estimates, sampler, metric, total_pairs, confidence
-        )
         still_active = []
         for point in active:
-            ps = samplers[point]
-            width = widths[point]
-            if (width is None or width > target_ci_width) and ps.drawn < max_n:
+            drawn = len(outcomes[point])
+            estimate = _estimate_point(*point, metric, outcomes[point], confidence)
+            width = _stopping_width(estimate, metric, total_pairs, confidence)
+            if (width is None or width > target_ci_width) and drawn < max_n:
                 still_active.append(point)
             else:
                 registry.gauge(
                     "deft_mc_samples_to_target",
                     "Samples the most recent point needed to stop",
-                ).set(ps.drawn)
+                ).set(drawn)
         active = still_active
 
-    results = [samplers[point].estimate(confidence) for point in points]
+    results = [
+        _estimate_point(*point, metric, outcomes[point], confidence)
+        for point in points
+    ]
     return MonteCarloReport(
         metric=metric, samples=samples, seed=seed, confidence=confidence,
         results=results, campaign=CampaignReport.merge(name, reports),
-        sampler=sampler,
     )
 
 

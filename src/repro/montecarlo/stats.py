@@ -11,26 +11,6 @@ Core interval estimators:
 Both return a :class:`ConfidenceInterval`, whose :meth:`~ConfidenceInterval.contains`
 is what the ``fig7mc`` experiment uses to cross-validate sampled curves
 against the exact reachability decomposition.
-
-The variance-reduction layer adds *weighted* machinery on top:
-
-* :func:`wilson_from_variance` — a Wilson interval for a bounded mean
-  whose variance came from a weighted estimator, evaluated at the
-  Bernoulli-equivalent sample size ``p (1 - p) / var``. This is the
-  common stopping-width currency that lets stratified and importance
-  estimates be compared against — and stopped by — the same
-  ``--target-ci`` threshold as uniform pooled counts.
-* :func:`stratified_estimate` / :func:`importance_estimate` — the
-  unbiased weighted point estimators (see each docstring for the exact
-  formulas and degenerate-case behaviour), returning a
-  :class:`WeightedEstimate` with effective-sample-size diagnostics.
-
-Batch variants (:func:`wilson_intervals`, :func:`normal_mean_intervals`,
-:func:`batch_mean_std`) vectorize the per-point python loops with numpy
-while remaining bit-identical to the scalar path — column-sequential
-accumulation reproduces python's left-to-right ``sum`` exactly, and
-elementwise float64 ops round identically to scalar float ops. When
-numpy is unavailable they silently fall back to the scalar loop.
 """
 
 from __future__ import annotations
@@ -38,11 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-try:  # numpy accelerates the batch paths; everything works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None
 
 #: Two-sided z critical values for the supported confidence levels.
 Z_VALUES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -128,291 +103,3 @@ def wilson_interval(
         high=min(1.0, center + half),
         confidence=confidence,
     )
-
-
-def wilson_from_variance(
-    mean: float, variance: float, n: float, confidence: float = 0.95
-) -> ConfidenceInterval:
-    """Wilson interval for a bounded mean with an estimated variance.
-
-    Weighted estimators (stratified, self-normalized importance) produce
-    a mean in [0, 1] and a variance-of-the-mean, but no single pooled
-    success count a plain Wilson interval could consume. This evaluates
-    the Wilson score at the *Bernoulli-equivalent* sample size — the
-    number of i.i.d. coin flips whose proportion estimator would have
-    the same variance: ``trials = p (1 - p) / var``. A variance-reduced
-    estimator therefore earns a proportionally larger equivalent n and a
-    proportionally narrower interval, making stopping widths directly
-    comparable across samplers.
-
-    Degenerate cases fall back to ``trials = n`` (the raw sample count):
-    a zero/negative variance estimate or a mean pinned at 0 or 1 says
-    nothing about the true dispersion, and the fallback keeps the width
-    honest (shrinking like 1/sqrt(n)) instead of collapsing to zero.
-    """
-    if n <= 0:
-        raise ValueError("wilson_from_variance needs at least one sample")
-    if not 0.0 <= mean <= 1.0:
-        raise ValueError(f"mean {mean} outside [0, 1]")
-    if variance > 0.0 and 0.0 < mean < 1.0:
-        trials = max(1.0, mean * (1.0 - mean) / variance)
-    else:
-        trials = float(n)
-    z = z_value(confidence)
-    z2 = z * z
-    denom = 1.0 + z2 / trials
-    center = (mean + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(
-        mean * (1.0 - mean) / trials + z2 / (4.0 * trials * trials)
-    )
-    # The Wilson center is shrunk toward 1/2, so at huge equivalent-n the
-    # rounded bounds can land an ulp inside the point estimate; widen to
-    # the estimate so contains(mean) always holds.
-    return ConfidenceInterval(
-        center=mean,
-        low=min(mean, max(0.0, center - half)),
-        high=max(mean, min(1.0, center + half)),
-        confidence=confidence,
-    )
-
-
-@dataclass(frozen=True)
-class WeightedEstimate:
-    """A weighted (stratified / importance) estimate of a bounded mean.
-
-    ``variance`` is the variance *of the estimator* (already divided by
-    the per-group sample counts), ``ess`` the effective sample size —
-    equal to ``n`` for stratified estimates, ``(sum w)^2 / sum w^2`` for
-    self-normalized importance weights (a collapsed ESS flags a proposal
-    mismatched to the integrand long before the interval misleads).
-    """
-
-    mean: float
-    variance: float
-    n: int
-    ess: float
-    interval: ConfidenceInterval
-
-
-def stratified_estimate(
-    groups: Sequence[tuple[float, Sequence[float]]],
-    confidence: float = 0.95,
-) -> WeightedEstimate:
-    """Unbiased stratified estimate from per-stratum (weight, values).
-
-    Weights are renormalized over the strata that actually have samples,
-    so a stratum whose draws all failed redistributes its mass instead of
-    silently biasing the total low. The estimator is the textbook one::
-
-        mean = sum_s  w_s * mean_s
-        var  = sum_s  w_s^2 * s_s^2 / n_s
-
-    with ``s_s^2`` the within-stratum sample variance. Single-sample
-    strata (``n_s = 1``, sample variance undefined) borrow the pooled
-    within-stratum variance of the strata with ``n_s >= 2`` — a
-    conservative stand-in that keeps the width finite without inventing
-    certainty; zero-variance strata genuinely contribute nothing to the
-    estimator variance. If *no* stratum has two samples the variance is
-    reported as 0 and the interval falls back to the raw-n Wilson width
-    (see :func:`wilson_from_variance`). When the variance is zero *with*
-    replicated evidence (some stratum had >= 2 samples and every
-    replicated stratum was constant) the interval is degenerate at the
-    mean: the metric is constant within every stratum, so covering each
-    stratum once makes the stratified sum exact — this is what lets a
-    direction-split stratification of a count-symmetric metric stop
-    after a single full-coverage round.
-    """
-    sampled = [(w, values) for w, values in groups if len(values) > 0]
-    if not sampled:
-        raise ValueError("stratified_estimate needs samples in at least one stratum")
-    if any(w < 0 for w, _ in sampled):
-        raise ValueError("stratum weights must be >= 0")
-    total_w = sum(w for w, _ in sampled)
-    if total_w <= 0:
-        raise ValueError("stratum weights must sum to > 0")
-    stats = batch_mean_std([values for _, values in sampled])
-    n = sum(len(values) for _, values in sampled)
-    mean = sum(
-        (w / total_w) * m for (w, _), (m, _) in zip(sampled, stats)
-    )
-    # Pooled within-stratum variance over strata that can estimate one.
-    pooled_num = 0.0
-    pooled_df = 0
-    for (_, values), (_, std) in zip(sampled, stats):
-        if len(values) >= 2:
-            pooled_num += (len(values) - 1) * std * std
-            pooled_df += len(values) - 1
-    pooled = pooled_num / pooled_df if pooled_df else 0.0
-    variance = 0.0
-    for (w, values), (_, std) in zip(sampled, stats):
-        s2 = std * std if len(values) >= 2 else pooled
-        variance += (w / total_w) ** 2 * s2 / len(values)
-    mean = min(1.0, max(0.0, mean))
-    if variance == 0.0 and pooled_df > 0:
-        # The estimate is exact up to float summation order (~n * eps
-        # over thousands of strata); a 1e-9 pad absorbs that noise while
-        # staying far below any practical stopping width.
-        interval = ConfidenceInterval(
-            center=mean,
-            low=max(0.0, mean - 1e-9),
-            high=min(1.0, mean + 1e-9),
-            confidence=confidence,
-        )
-    else:
-        interval = wilson_from_variance(mean, variance, n, confidence)
-    return WeightedEstimate(
-        mean=mean, variance=variance, n=n, ess=float(n), interval=interval
-    )
-
-
-def importance_estimate(
-    ratios: Sequence[float],
-    values: Sequence[float],
-    confidence: float = 0.95,
-) -> WeightedEstimate:
-    """Self-normalized importance estimate from likelihood ratios.
-
-    ``ratios[i]`` is the likelihood ratio ``p(x_i) / q(x_i)`` of sample
-    ``i`` under the target vs the proposal. The self-normalized
-    estimator divides by the *realized* ratio mass instead of n::
-
-        mean = sum_i  r_i v_i / sum_i r_i
-        var  = sum_i  rbar_i^2 (v_i - mean)^2      rbar = r / sum r
-        ess  = (sum r)^2 / sum r^2
-
-    Self-normalization trades the last sliver of unbiasedness (it is
-    consistent, with O(1/n) bias) for a massive variance reduction when
-    ratios are noisy; with a defensive-mixture proposal the ratios are
-    bounded so the bias is negligible at campaign sample counts. The ESS
-    diagnostic is the classic Kish size — report it, and distrust any
-    estimate whose ESS collapsed to a handful of samples.
-    """
-    if len(ratios) != len(values):
-        raise ValueError(
-            f"got {len(ratios)} ratios for {len(values)} values"
-        )
-    if not values:
-        raise ValueError("importance_estimate needs at least one sample")
-    if any(r < 0 for r in ratios):
-        raise ValueError("likelihood ratios must be >= 0")
-    total_r = sum(ratios)
-    if total_r <= 0:
-        raise ValueError("likelihood ratios must sum to > 0")
-    n = len(values)
-    mean = sum(r * v for r, v in zip(ratios, values)) / total_r
-    mean = min(1.0, max(0.0, mean))
-    variance = sum(
-        (r / total_r) ** 2 * (v - mean) ** 2 for r, v in zip(ratios, values)
-    )
-    ess = total_r * total_r / sum(r * r for r in ratios)
-    return WeightedEstimate(
-        mean=mean,
-        variance=variance,
-        n=n,
-        ess=ess,
-        interval=wilson_from_variance(mean, variance, ess, confidence),
-    )
-
-
-# -- batch (numpy-vectorized) variants ----------------------------------
-#
-# The batch functions exist so campaigns estimating many points/strata at
-# once pay one vector sweep instead of a python loop per group. They are
-# pinned bit-identical to the scalar path: elementwise float64 numpy ops
-# round exactly like python floats, and group sums are accumulated
-# column-sequentially (one fused add per sample index, vectorized across
-# groups) to reproduce python's left-to-right ``sum`` order.
-
-
-def batch_mean_std(groups: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
-    """Vectorized :func:`sample_mean_std` over many groups at once.
-
-    Bit-identical to calling the scalar function per group; empty groups
-    raise, mirroring the scalar contract.
-    """
-    if any(len(g) == 0 for g in groups):
-        raise ValueError("need at least one sample")
-    if _np is None or not groups:
-        return [sample_mean_std(g) for g in groups]
-    lengths = _np.array([len(g) for g in groups], dtype=_np.float64)
-    width = int(lengths.max())
-    padded = _np.zeros((len(groups), width), dtype=_np.float64)
-    mask = _np.zeros((len(groups), width), dtype=bool)
-    for i, g in enumerate(groups):
-        padded[i, : len(g)] = g
-        mask[i, : len(g)] = True
-    # Column-sequential accumulation == python's left-to-right sum()
-    # (the zero pads are exact no-ops under IEEE addition).
-    totals = _np.zeros(len(groups), dtype=_np.float64)
-    for j in range(width):
-        totals += padded[:, j]
-    means = totals / lengths
-    sq = _np.where(mask, (padded - means[:, None]) ** 2, 0.0)
-    ss = _np.zeros(len(groups), dtype=_np.float64)
-    for j in range(width):
-        ss += sq[:, j]
-    multi = lengths >= 2
-    stds = _np.where(
-        multi, _np.sqrt(ss / _np.where(multi, lengths - 1.0, 1.0)), 0.0
-    )
-    return [(float(m), float(s)) for m, s in zip(means, stds)]
-
-
-def normal_mean_intervals(
-    groups: Sequence[Sequence[float]],
-    confidence: float = 0.95,
-    clamp: tuple[float, float] | None = None,
-) -> list[ConfidenceInterval]:
-    """Vectorized :func:`normal_mean_interval` over many groups at once."""
-    z = z_value(confidence)
-    stats = batch_mean_std(groups)
-    out = []
-    for (mean, std), group in zip(stats, groups):
-        half = z * std / math.sqrt(len(group))
-        low, high = mean - half, mean + half
-        if clamp is not None:
-            low, high = max(low, clamp[0]), min(high, clamp[1])
-        out.append(
-            ConfidenceInterval(center=mean, low=low, high=high, confidence=confidence)
-        )
-    return out
-
-
-def wilson_intervals(
-    successes: Sequence[int],
-    trials: Sequence[int],
-    confidence: float = 0.95,
-) -> list[ConfidenceInterval]:
-    """Vectorized :func:`wilson_interval` over many (successes, trials).
-
-    Purely elementwise, so float64 results are bit-identical to the
-    scalar path.
-    """
-    if len(successes) != len(trials):
-        raise ValueError(
-            f"got {len(successes)} success counts for {len(trials)} trial counts"
-        )
-    if _np is None or not trials:
-        return [
-            wilson_interval(s, t, confidence) for s, t in zip(successes, trials)
-        ]
-    t = _np.array(trials, dtype=_np.float64)
-    s = _np.array(successes, dtype=_np.float64)
-    if (t <= 0).any():
-        raise ValueError("wilson_interval needs at least one trial")
-    if ((s < 0) | (s > t)).any():
-        raise ValueError("successes outside [0, trials]")
-    z = z_value(confidence)
-    p = s / t
-    z2 = z * z
-    denom = 1.0 + z2 / t
-    center = (p + z2 / (2 * t)) / denom
-    half = (z / denom) * _np.sqrt(p * (1 - p) / t + z2 / (4 * t * t))
-    low = _np.maximum(0.0, center - half)
-    high = _np.minimum(1.0, center + half)
-    return [
-        ConfidenceInterval(
-            center=float(pi), low=float(lo), high=float(hi), confidence=confidence
-        )
-        for pi, lo, hi in zip(p, low, high)
-    ]

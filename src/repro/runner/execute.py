@@ -29,12 +29,7 @@ from typing import Callable, Sequence
 
 from ..config import SimulationConfig
 from ..errors import ConfigurationError
-from ..fault.model import (
-    FaultState,
-    faults_from_spec,
-    random_fault_state,
-    random_stratified_fault_state,
-)
+from ..fault.model import FaultState, faults_from_spec, random_fault_state
 from ..network.kernels import KERNEL_ENV
 from ..network.simulator import Simulator
 from ..routing.base import RoutingAlgorithm
@@ -59,23 +54,6 @@ def sample_rng(seed: int, fault_k: int, fault_sample: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def stratum_rng(
-    seed: int, fault_k: int, stratum: tuple[int, ...], fault_sample: int
-) -> random.Random:
-    """The deterministic RNG of one *stratified* Monte Carlo sample.
-
-    The stratum coordinates enter the hash, so ordinal ``i`` of stratum
-    ``(2, 0, 1, 1)`` is a stream independent from ordinal ``i`` of any
-    other stratum — and independent from uniform sample ``i`` of the
-    same campaign (different domain prefix).
-    """
-    coords = ",".join(str(c) for c in stratum)
-    digest = hashlib.sha256(
-        f"deft-mc-stratum:{seed}:{fault_k}:[{coords}]:{fault_sample}".encode("utf-8")
-    ).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 def _build_algorithm(job: Job, system: System) -> RoutingAlgorithm:
     params = dict(job.algorithm_params)
     if not params:
@@ -96,11 +74,6 @@ def _build_algorithm(job: Job, system: System) -> RoutingAlgorithm:
 
 def _build_fault_state(job: Job, system: System) -> FaultState:
     if job.faults_mode == "sample":
-        if job.fault_stratum:
-            rng = stratum_rng(
-                job.seed, job.fault_k, job.fault_stratum, job.fault_sample
-            )
-            return random_stratified_fault_state(system, job.fault_stratum, rng)
         rng = sample_rng(job.seed, job.fault_k, job.fault_sample)
         return random_fault_state(system, job.fault_k, rng)
     return faults_from_spec(system, job.faults)

@@ -213,20 +213,6 @@ class Job:
             (sample mode). Part of the canonical form — and therefore the
             cache key — so re-running a campaign with the same seed and
             sample count is served from cache.
-        fault_stratum: optional directed-fault-count composition (the
-            stratum coordinates of a stratified Monte Carlo sample).
-            When set, the executor draws a pattern with exactly these
-            counts (uniform over the stratum's admissible patterns):
-            two entries per chiplet, the per-direction ``(down, up)``
-            pairs :func:`repro.montecarlo.strata.enumerate_strata`
-            produces.
-            The RNG is seeded by
-            ``(seed, fault_k, fault_stratum, fault_sample)`` —
-            ``fault_sample`` is then the ordinal *within the stratum*.
-            Part of the canonical form only when set, so uniform-sample
-            jobs keep their pre-stratification cache keys, and a
-            (stratum, ordinal) job is shared between any campaigns that
-            draw it (proportional, Neyman or importance allocation).
         kind: ``simulate`` (default) or ``reachability`` — the latter
             skips the simulator and analytically scores the fault
             scenario's reachable core-pair fraction.
@@ -247,7 +233,6 @@ class Job:
     faults_mode: str = "explicit"
     fault_k: int = 0
     fault_sample: int = 0
-    fault_stratum: tuple[int, ...] = ()
     kind: str = "simulate"
     kernel: str = "auto"
 
@@ -284,25 +269,11 @@ class Job:
                 raise ConfigurationError(
                     f"fault_sample must be >= 0, got {self.fault_sample}"
                 )
-            if self.fault_stratum:
-                if any(count < 0 for count in self.fault_stratum):
-                    raise ConfigurationError(
-                        f"fault_stratum counts must be >= 0, got {self.fault_stratum}"
-                    )
-                if sum(self.fault_stratum) != self.fault_k:
-                    raise ConfigurationError(
-                        f"fault_stratum {self.fault_stratum} sums to "
-                        f"{sum(self.fault_stratum)}, expected fault_k={self.fault_k}"
-                    )
-        elif self.fault_k or self.fault_sample or self.fault_stratum:
+        elif self.fault_k or self.fault_sample:
             raise ConfigurationError(
-                "fault_k/fault_sample/fault_stratum only apply to "
-                "faults_mode='sample'"
+                "fault_k/fault_sample only apply to faults_mode='sample'"
             )
         object.__setattr__(self, "faults", tuple(sorted(self.faults)))
-        object.__setattr__(
-            self, "fault_stratum", tuple(int(c) for c in self.fault_stratum)
-        )
         object.__setattr__(
             self,
             "algorithm_params",
@@ -323,7 +294,6 @@ class Job:
         faults_mode: str = "explicit",
         fault_k: int = 0,
         fault_sample: int = 0,
-        fault_stratum: Iterable[int] = (),
         kind: str = "simulate",
         kernel: str = "auto",
     ) -> "Job":
@@ -338,7 +308,6 @@ class Job:
             faults_mode=faults_mode,
             fault_k=fault_k,
             fault_sample=fault_sample,
-            fault_stratum=tuple(fault_stratum),
             kind=kind,
             kernel=kernel,
         )
@@ -376,9 +345,6 @@ class Job:
             data["faults_mode"] = self.faults_mode
             data["fault_k"] = self.fault_k
             data["fault_sample"] = self.fault_sample
-            # Only when set: uniform-sample jobs keep their legacy keys.
-            if self.fault_stratum:
-                data["fault_stratum"] = list(self.fault_stratum)
         if self.kind != "simulate":
             data["kind"] = self.kind
         return data
@@ -408,11 +374,7 @@ class Job:
             parts.append(self.traffic.label)
         parts.append(f"seed={self.seed}")
         if self.faults_mode == "sample":
-            if self.fault_stratum:
-                stratum = ",".join(str(c) for c in self.fault_stratum)
-                parts.append(f"k={self.fault_k}[{stratum}]#{self.fault_sample}")
-            else:
-                parts.append(f"k={self.fault_k}#{self.fault_sample}")
+            parts.append(f"k={self.fault_k}#{self.fault_sample}")
         elif self.faults:
             parts.append(f"{len(self.faults)}-faults")
         return " ".join(parts)
@@ -425,6 +387,13 @@ class Job:
             raise ConfigurationError(
                 f"job spec version {version} not supported (current {SPEC_VERSION})"
             )
+        if "fault_stratum" in data:
+            # Dropping it would alias a stratified sample to the uniform
+            # sample with the same index, and so to that sample's key.
+            raise ConfigurationError(
+                "fault_stratum is no longer supported: stratified Monte Carlo "
+                "sampling was removed; resubmit as a uniform sample job"
+            )
         return cls.make(
             system=SystemRef.from_dict(data["system"]),
             algorithm=data["algorithm"],
@@ -436,7 +405,6 @@ class Job:
             faults_mode=str(data.get("faults_mode", "explicit")),
             fault_k=int(data.get("fault_k", 0)),
             fault_sample=int(data.get("fault_sample", 0)),
-            fault_stratum=tuple(int(c) for c in data.get("fault_stratum", ())),
             kind=str(data.get("kind", "simulate")),
             kernel=str(data.get("kernel", "auto")),
         )

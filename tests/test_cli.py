@@ -230,6 +230,23 @@ class TestMonteCarloCommand:
         table = lambda text: [l for l in text.splitlines() if "rc k=" in l]
         assert table(warm) == table(cold)
 
+    def test_json_points_carry_only_uniform_fields(self, tmp_path):
+        out_path = tmp_path / "mc.json"
+        assert main(self.ARGS + ["--no-cache", "--json", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text())
+        assert "sampler" not in payload
+        assert set(payload["points"][0]) == {
+            "algorithm", "k", "requested", "completed", "failed", "dropped",
+            "mean", "std", "worst", "ci",
+        }
+
+    @pytest.mark.parametrize("sampler", ["stratified", "uniform"])
+    def test_sampler_flag_is_gone(self, capsys, sampler):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + ["--no-cache", "--sampler", sampler])
+        assert exit_info.value.code == 2
+        assert "--sampler" in capsys.readouterr().err
+
     def test_latency_metric(self, capsys):
         code = main([
             "montecarlo", "--algo", "deft", "--k", "1", "--samples", "3",

@@ -160,6 +160,14 @@ class TestSubmission:
         assert err.value.code == 400
         assert "error" in json.loads(err.value.read())
 
+    def test_stratified_job_400(self, server):
+        stratified = {**reachability_jobs(1)[0].canonical(), "fault_stratum": [2]}
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server, {"name": "stratified", "jobs": [stratified]})
+        assert err.value.code == 400
+        assert "fault_stratum" in json.loads(err.value.read())["error"]
+        assert server.service.spool.pending_count() == 0
+
     def test_non_json_body_400(self, server):
         request = urllib.request.Request(
             server.url + "/campaigns", data=b"\xff not json"

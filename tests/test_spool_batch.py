@@ -163,6 +163,21 @@ class TestBatchClaim:
         assert spool.claimed_count() == 4
         assert spool.pending_count() == 0
 
+    def test_stratified_wire_entry_is_not_claimed(self, tmp_path):
+        """A removed-feature job must not run as the uniform sample it aliases."""
+        jobs = reachability_jobs(4)
+        spool = Spool(tmp_path)
+        spool.enqueue(jobs, batch_size=4)
+        (path,) = spool.jobs_dir.glob("batch-*.json")
+        payload = json.loads(path.read_text())
+        payload["jobs"][1]["job"]["fault_stratum"] = [1, 1]
+        path.write_text(json.dumps(payload))
+        claim = spool.claim_batch("w1")
+        assert claim is not None and len(claim) == 3
+        assert {entry.job.key() for entry in claim.entries} == {
+            job.key() for i, job in enumerate(jobs) if i != 1
+        }
+
     @pytest.mark.parametrize("batch_size", [4, 1])
     def test_batch_claim_is_single_winner(self, tmp_path, batch_size):
         jobs = reachability_jobs(batch_size)
